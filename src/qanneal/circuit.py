@@ -16,12 +16,12 @@ import numpy as np
 from . import ensemble
 from .cost import CostFunction, bitstring, evaluate_all, normalized_all
 from .statevec import (
-    CapExceededError,
     QuantumState,
+    _check_cap,
     apply_hadamard,
     apply_u_pm,
+    fuse_phase_tables,
     marginal_probabilities,
-    max_qubits,
     uniform_superposition,
 )
 
@@ -61,16 +61,18 @@ def run_circuit(
     if b < 1:
         raise ValueError(f"need at least one control qubit, got b = {b}")
     state = uniform_superposition(cost.n, b, cap)
-    steps = [state]
-    for j in range(b):
-        control = cost.n + j
+    phases = fuse_phase_tables(cost)
+    # without record_steps only the current state and the gate's output are live
+    steps = [state] if record_steps else None
+    for control in range(cost.n, cost.n + b):
         for gate in (
             lambda s: apply_hadamard(s, control),
-            lambda s: apply_u_pm(s, control, cost),
+            lambda s: apply_u_pm(s, control, phases),
             lambda s: apply_hadamard(s, control),
         ):
             state = gate(state)
-            steps.append(state)
+            if record_steps:
+                steps.append(state)
     return steps if record_steps else state
 
 
@@ -87,9 +89,7 @@ def closed_form_final_state(cost: CostFunction, b: int, cap: int | None = None) 
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     total = cost.n + b
-    effective_cap = max_qubits() if cap is None else cap
-    if total > effective_cap:
-        raise CapExceededError(f"{total} qubits exceed the dense-amplitude cap of {effective_cap}")
+    _check_cap(total, cap, advice="")
     theta = 0.5 * np.pi * normalized_all(cost)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     size = 1 << cost.n

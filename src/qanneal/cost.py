@@ -26,9 +26,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Margin construction for derived strict bounds: relative half-width with an
-# absolute floor so degenerate (zero-span) costs still get an open interval.
+# absolute floor so degenerate (zero-span) costs still get an open interval,
+# and a floor of a few ulps of the cost magnitude so that interval survives
+# rounding at large |cost|.
 MARGIN_REL = 0.5e-3
 MARGIN_FLOOR = 1e-9
+MARGIN_ULPS = 4
 
 # Above this size the constructor refuses to brute-force-verify hand-supplied
 # bounds that are not already guaranteed by interval arithmetic.
@@ -173,15 +176,18 @@ def derive_bounds(
 ) -> tuple[float, float]:
     """Strict bounds from interval arithmetic plus an additive margin.
 
-    The margin defaults to ``max(MARGIN_FLOOR, MARGIN_REL * (loose_max - loose_min))``
-    so that even an all-constant cost gets an open interval around it.
+    The margin defaults to ``max(MARGIN_FLOOR, MARGIN_REL * (loose_max - loose_min),
+    MARGIN_ULPS * ulp(max(|loose_min|, |loose_max|)))`` so that even an
+    all-constant cost of any magnitude gets an open interval around it.
     """
     terms = tuple(terms)
     lo, hi = loose_range(constant, terms)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("cannot derive bounds from non-finite term values")
     if margin is None:
-        margin = max(MARGIN_FLOOR, MARGIN_REL * (hi - lo))
+        margin = max(
+            MARGIN_FLOOR, MARGIN_REL * (hi - lo), MARGIN_ULPS * math.ulp(max(abs(lo), abs(hi)))
+        )
     elif margin <= 0:
         raise ValueError("margin must be positive")
     return lo - margin, hi + margin
@@ -333,7 +339,7 @@ def random_local_cost(n: int, m: int, term_density: float = 1.0, seed: int = 0) 
 
 
 def constant_cost(n: int, value: float) -> CostFunction:
-    """Degenerate cost: every assignment costs ``value`` (bounds via the margin floor)."""
+    """Degenerate cost: every assignment costs ``value`` (bounds via the margin floors)."""
     c_min, c_max = derive_bounds(value, ())
     return CostFunction(n=n, constant=value, terms=(), c_min=c_min, c_max=c_max)
 

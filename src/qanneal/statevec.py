@@ -1,8 +1,9 @@
 """Dense state-vector engine over a search register plus a control register.
 
 The gate set is deliberately small: Hadamards, diagonal k-qubit phase gates,
-and singly-controlled diagonals (enough to realize the cost unitary and its
-controlled-inverse construction).
+and the controlled cost unitary as one fused diagonal (U on control 0, U^-1
+on control 1).  Every gate writes one new amplitude buffer and never mutates
+its input, so earlier states stay valid.
 
 Index convention (fixed): basis index = (control_index << n_search) | search_index,
 i.e. search qubits occupy the low-order bit positions and control qubits the
@@ -24,7 +25,7 @@ DEFAULT_MAX_QUBITS = 26
 NORM_ATOL = 1e-12
 PHASE_MOD_ATOL = 1e-12
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class CapExceededError(RuntimeError):
@@ -36,13 +37,20 @@ def max_qubits() -> int:
     return int(os.environ.get("QANNEAL_MAX_QUBITS", DEFAULT_MAX_QUBITS))
 
 
-def _check_cap(total: int, cap: int | None):
+def _check_cap(total: int, cap: int | None, advice: str = "; use the closed-form mode for this size"):
     cap = max_qubits() if cap is None else cap
     if total > cap:
-        raise CapExceededError(
-            f"{total} qubits exceed the dense-amplitude cap of {cap}; "
-            "use the closed-form mode for this size"
-        )
+        raise CapExceededError(f"{total} qubits exceed the dense-amplitude cap of {cap}{advice}")
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """Sum of |a|^2 in one pass without temporaries.
+
+    Sums rows of 4096 amplitudes, then the row sums pairwise: one serial dot
+    product over 2^24 amplitudes drifts by about 1e-12, past NORM_ATOL.
+    """
+    flat = amps.view(np.float64).reshape(-1, min(2 * amps.size, 8192))
+    return float(np.einsum("ij,ij->i", flat, flat).sum())
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if self.n_search < 1 or self.n_control < 0:
             raise ValueError("need n_search >= 1 and n_control >= 0")
@@ -62,7 +70,7 @@ class QuantumState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({1 << self.total_qubits},)"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = _norm_sq(amps)
         if abs(norm_sq - 1.0) > NORM_ATOL * max(1.0, norm_sq):
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
 
@@ -71,7 +79,7 @@ class QuantumState:
         return self.n_search + self.n_control
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(np.sqrt(_norm_sq(self.amplitudes)))
 
     def _tensor(self) -> np.ndarray:
         # axis i of the tensor view corresponds to qubit (total - 1 - i)
@@ -101,13 +109,6 @@ class PhaseTable:
     def arity(self) -> int:
         return max(0, (len(self.phases) - 1).bit_length())
 
-    def power(self, exponent: int) -> "PhaseTable":
-        """Elementwise integer power; stays diagonal and unit-modulus."""
-        return PhaseTable(tuple(p**exponent for p in self.phases))
-
-    def conjugate(self) -> "PhaseTable":
-        return PhaseTable(tuple(p.conjugate() for p in self.phases))
-
 
 def uniform_superposition(n_search: int, n_control: int, cap: int | None = None) -> QuantumState:
     """Equal amplitude on every search assignment, control register all zero."""
@@ -127,14 +128,24 @@ def _check_qubits(qubits: tuple[int, ...], total: int):
 
 
 def apply_hadamard(state: QuantumState, qubit: int) -> QuantumState:
-    """Standard 2x2 Hadamard on one qubit."""
+    """Standard 2x2 Hadamard on one qubit: the butterfly (a0 + a1, a0 - a1) / sqrt(2)."""
     total = state.total_qubits
     if not 0 <= qubit < total:
         raise IndexError(f"qubit {qubit} out of range for {total} qubits")
-    psi = state._tensor()
-    axis = total - 1 - qubit
-    psi = np.moveaxis(np.moveaxis(psi, axis, -1) @ _HADAMARD.T, -1, axis)
-    return QuantumState(state.n_search, state.n_control, np.ascontiguousarray(psi).reshape(-1))
+    pairs = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    out = np.empty_like(pairs)
+    np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+    np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+    out *= _INV_SQRT2
+    return QuantumState(state.n_search, state.n_control, out.reshape(-1))
+
+
+def _broadcast_table(qubits: tuple[int, ...], table: PhaseTable, total: int) -> np.ndarray:
+    """The table's phases shaped to broadcast against a ``[2] * total`` tensor."""
+    shape = [1] * total
+    for q in qubits:
+        shape[total - 1 - q] = 2
+    return np.asarray(table.phases, dtype=complex).reshape(shape)
 
 
 def apply_diagonal(state: QuantumState, qubits: tuple[int, ...], table: PhaseTable) -> QuantumState:
@@ -144,41 +155,8 @@ def apply_diagonal(state: QuantumState, qubits: tuple[int, ...], table: PhaseTab
     _check_qubits(qubits, total)
     if len(qubits) != table.arity:
         raise ValueError(f"table arity {table.arity} does not match {len(qubits)} qubits")
-    shape = [1] * total
-    for q in qubits:
-        shape[total - 1 - q] = 2
-    ph = np.asarray(table.phases, dtype=complex).reshape(shape)
-    amps = (state._tensor() * ph).reshape(-1)
+    amps = (state._tensor() * _broadcast_table(qubits, table, total)).reshape(-1)
     return QuantumState(state.n_search, state.n_control, amps)
-
-
-def controlled_table(
-    control_qubit: int, qubits: tuple[int, ...], table: PhaseTable
-) -> tuple[tuple[int, ...], PhaseTable]:
-    """Fold a control qubit into a diagonal: identity on control 0, the table on control 1."""
-    if control_qubit in qubits:
-        raise ValueError(f"control qubit {control_qubit} overlaps the targets {qubits}")
-    combined = tuple(sorted(qubits + (control_qubit,)))
-    control_pos = combined.index(control_qubit)
-    target_pos = [combined.index(q) for q in qubits]
-    subs = np.arange(1 << len(combined))
-    orig = np.zeros_like(subs)
-    for j, pos in enumerate(target_pos):
-        orig |= ((subs >> pos) & 1) << j
-    phases = np.where(
-        (subs >> control_pos) & 1,
-        np.asarray(table.phases, dtype=complex)[orig],
-        1.0 + 0.0j,
-    )
-    return combined, PhaseTable(tuple(phases))
-
-
-def apply_controlled_diagonal(
-    state: QuantumState, control_qubit: int, qubits: tuple[int, ...], table: PhaseTable
-) -> QuantumState:
-    """Apply the table on the control = 1 subspace only."""
-    combined, full = controlled_table(control_qubit, tuple(qubits), table)
-    return apply_diagonal(state, combined, full)
 
 
 def build_phase_tables(
@@ -204,21 +182,35 @@ def build_phase_tables(
     return tables
 
 
-def apply_u_pm(state: QuantumState, control_qubit: int, cost: CostFunction) -> QuantumState:
+def fuse_phase_tables(cost: CostFunction) -> np.ndarray:
+    """The cost unitary's diagonal over the search register: the product of all phase tables.
+
+    Built from ``build_phase_tables`` alone, never from the closed-form
+    normalized cost, so the gate route stays an independent check of it.
+    """
+    fused = np.ones([2] * cost.n, dtype=complex)
+    for qubits, table in build_phase_tables(cost, sign=+1):
+        fused *= _broadcast_table(qubits, table, cost.n)
+    return fused.reshape(-1)
+
+
+def apply_u_pm(state: QuantumState, control_qubit: int, phases: np.ndarray) -> QuantumState:
     """Controlled cost unitary: U on the control-0 branch, U^-1 on the control-1 branch.
 
-    Realized as the gate product: for every phase table, the unconditional gate
-    followed by its controlled inverse-square.
+    ``phases`` is U's diagonal over the search register (``fuse_phase_tables``);
+    the gate is one pass multiplying the control-0 half by it and the
+    control-1 half by its conjugate.
     """
-    if state.n_search != cost.n:
-        raise ValueError(f"state has {state.n_search} search qubits but cost has n = {cost.n}")
-    if not state.n_search <= control_qubit < state.total_qubits:
+    n = state.n_search
+    if phases.shape != (1 << n,):
+        raise ValueError(f"phase vector has shape {phases.shape}, but the state has {n} search qubits")
+    if not n <= control_qubit < state.total_qubits:
         raise IndexError(f"control qubit {control_qubit} is not a control-register qubit")
-    psi = state
-    for qubits, table in build_phase_tables(cost, sign=+1):
-        psi = apply_diagonal(psi, qubits, table)
-        psi = apply_controlled_diagonal(psi, control_qubit, qubits, table.power(-2))
-    return psi
+    branches = state.amplitudes.reshape(-1, 2, 1 << (control_qubit - n), 1 << n)
+    out = np.empty_like(branches)
+    np.multiply(branches[:, 0], phases, out=out[:, 0])
+    np.multiply(branches[:, 1], phases.conj(), out=out[:, 1])
+    return QuantumState(n, state.n_control, out.reshape(-1))
 
 
 def marginal_probabilities(state: QuantumState, qubit_subset: tuple[int, ...]) -> np.ndarray:

@@ -77,6 +77,59 @@ def random_state(n_search: int, n_control: int, seed: int) -> "np.ndarray":
     return amps / np.linalg.norm(amps)
 
 
+# --- per-term oracle for the fused controlled cost unitary -------------------
+
+
+def controlled_table(control_qubit: int, qubits: tuple, table):
+    """Fold a control qubit into a diagonal: identity on control 0, the table on control 1."""
+    from qanneal.statevec import PhaseTable
+
+    if control_qubit in qubits:
+        raise ValueError(f"control qubit {control_qubit} overlaps the targets {qubits}")
+    combined = tuple(sorted(qubits + (control_qubit,)))
+    control_pos = combined.index(control_qubit)
+    target_pos = [combined.index(q) for q in qubits]
+    subs = np.arange(1 << len(combined))
+    orig = np.zeros_like(subs)
+    for j, pos in enumerate(target_pos):
+        orig |= ((subs >> pos) & 1) << j
+    phases = np.where(
+        (subs >> control_pos) & 1,
+        np.asarray(table.phases, dtype=complex)[orig],
+        1.0 + 0.0j,
+    )
+    return combined, PhaseTable(tuple(phases))
+
+
+def apply_controlled_diagonal(state, control_qubit: int, qubits: tuple, table):
+    """Apply the table on the control = 1 subspace only."""
+    from qanneal.statevec import apply_diagonal
+
+    combined, full = controlled_table(control_qubit, tuple(qubits), table)
+    return apply_diagonal(state, combined, full)
+
+
+def inverse_square(table):
+    """Elementwise power -2 of a phase table; stays diagonal and unit-modulus."""
+    from qanneal.statevec import PhaseTable
+
+    return PhaseTable(tuple(p**-2 for p in table.phases))
+
+
+def per_term_u_pm(state, control_qubit: int, cost):
+    """Controlled cost unitary as the per-term gate product.
+
+    For every phase table: the unconditional gate, then its controlled
+    inverse-square, so control 0 sees U and control 1 sees U^-1.
+    """
+    from qanneal.statevec import apply_diagonal, build_phase_tables
+
+    for qubits, table in build_phase_tables(cost, sign=+1):
+        state = apply_diagonal(state, qubits, table)
+        state = apply_controlled_diagonal(state, control_qubit, qubits, inverse_square(table))
+    return state
+
+
 def composite_phases(cost) -> np.ndarray:
     """Product of all per-term gate phases for every basis state (direct composition)."""
     from qanneal.statevec import build_phase_tables

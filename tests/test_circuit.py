@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from qanneal.circuit import (
     sample_run,
     trial_rng,
 )
-from qanneal.cost import constant_cost, evaluate_all, random_local_cost
+from qanneal.cost import (
+    constant_cost,
+    evaluate_all,
+    graph_partition_cost,
+    random_graph,
+    random_local_cost,
+)
 from qanneal.statevec import (
     CapExceededError,
     QuantumState,
@@ -50,6 +58,34 @@ def test_gate_level_matches_closed_form_random_instance():
     cost = random_local_cost(6, 2, 1.5, seed=31)
     dev = max_amplitude_deviation(run_circuit(cost, 3), closed_form_final_state(cost, 3))
     assert dev < 1e-10
+
+
+def test_gate_level_matches_closed_form_at_twenty_qubits():
+    inst = replace(random_graph(16, 0.5, seed=7), lam=1.0)
+    cost = graph_partition_cost(inst)
+    dev = max_amplitude_deviation(run_circuit(cost, 4), closed_form_final_state(cost, 4))
+    assert dev < 1e-10
+
+
+def test_run_circuit_holds_at_most_three_vectors():
+    # intermediate states are dropped unless record_steps asks for them
+    cost = random_local_cost(12, 2, 1.5, seed=36)
+    b = 4
+    vector_bytes = 16 << (cost.n + b)
+    tracemalloc.start()
+    try:
+        run_circuit(cost, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * vector_bytes
+
+
+def test_record_steps_keeps_every_state():
+    cost = random_local_cost(4, 2, 1.5, seed=37)
+    steps = run_circuit(cost, 2, record_steps=True)
+    assert len(steps) == 7
+    assert max_amplitude_deviation(steps[-1], run_circuit(cost, 2)) == 0.0
 
 
 def test_closed_form_single_control_amplitudes(two_state_cost):
@@ -101,6 +137,13 @@ def test_run_circuit_cap_refusal_mentions_closed_form():
     cost = random_local_cost(4, 2, 1.5, seed=35)
     with pytest.raises(CapExceededError, match="closed-form"):
         run_circuit(cost, 3, cap=5)
+
+
+def test_closed_form_cap_refusal_names_the_cap_only():
+    cost = random_local_cost(4, 2, 1.5, seed=35)
+    with pytest.raises(CapExceededError, match="cap of 5") as info:
+        closed_form_final_state(cost, 3, cap=5)
+    assert "closed-form" not in str(info.value)
 
 
 # --- post-selection ----------------------------------------------------------

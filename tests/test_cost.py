@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ def test_derive_bounds_rejects_bad_inputs():
         LocalTerm((0,), (0.0, float("nan")))
     with pytest.raises(ValueError):
         derive_bounds(0.0, (LocalTerm((0,), (0.0, 1.0)),), margin=0.0)
+
+
+@pytest.mark.parametrize("value", [1e9, -1e12])
+def test_constant_cost_of_large_magnitude_gets_open_bounds(value):
+    c = constant_cost(3, value)
+    assert c.c_min < value < c.c_max
+    assert np.all(normalized_all(c) == 0.5)
+
+
+def test_relative_margin_dominates_on_graph_instances():
+    # the ulp floor must leave ordinary bounds bit-identical to lo - rel, hi + rel
+    from qanneal.cost import MARGIN_REL, loose_range
+
+    for seed in range(5):
+        c = graph_partition_cost(replace(random_graph(12, 0.5, seed), lam=1.0))
+        lo, hi = loose_range(c.constant, c.terms)
+        margin = MARGIN_REL * (hi - lo)
+        assert (c.c_min, c.c_max) == (lo - margin, hi + margin)
 
 
 def test_derived_bounds_contain_all_evaluations_exhaustively():

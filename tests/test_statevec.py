@@ -8,18 +8,24 @@ from qanneal.statevec import (
     CapExceededError,
     PhaseTable,
     QuantumState,
-    apply_controlled_diagonal,
     apply_diagonal,
     apply_hadamard,
     apply_u_pm,
     build_phase_tables,
     dump_amplitudes,
+    fuse_phase_tables,
     load_amplitudes,
     marginal_probabilities,
     max_amplitude_deviation,
     uniform_superposition,
 )
-from conftest import composite_phases, random_state
+from conftest import (
+    apply_controlled_diagonal,
+    composite_phases,
+    inverse_square,
+    per_term_u_pm,
+    random_state,
+)
 
 
 # --- uniform superposition ---------------------------------------------------
@@ -78,6 +84,19 @@ def test_hadamard_produces_first_step_state():
     expected[:size] = 1 / math.sqrt(2 * size)
     expected[size : 2 * size] = 1 / math.sqrt(2 * size)
     assert max_amplitude_deviation(state, expected) < 1e-12
+
+
+def test_hadamard_matches_kronecker_matrix_on_every_qubit():
+    from functools import reduce
+
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    total = 5
+    state = QuantumState(3, 2, random_state(3, 2, seed=9))
+    for qubit in range(total):
+        # kron factors run from the highest qubit (most significant bit) down
+        factors = [h if q == qubit else np.eye(2) for q in reversed(range(total))]
+        expected = reduce(np.kron, factors) @ state.amplitudes
+        assert max_amplitude_deviation(apply_hadamard(state, qubit), expected) < 1e-14
 
 
 def test_hadamard_index_out_of_range():
@@ -154,7 +173,7 @@ def test_diagonal_arity_mismatch_rejected():
         apply_diagonal(state, (0,), PhaseTable((1.0, 1.0, 1.0, 1.0)))
 
 
-# --- controlled diagonal ---------------------------------------------------------
+# --- controlled diagonal (per-term oracle in conftest) ---------------------------
 
 
 def test_controlled_diagonal_inactive_on_zero_control():
@@ -185,7 +204,7 @@ def test_gate_then_controlled_inverse_square_gives_opposite_branches(two_state_c
     (qc, tc), (qt, tt) = build_phase_tables(two_state_cost, sign=+1)
     for qubits, table in ((qc, tc), (qt, tt)):
         state = apply_diagonal(state, qubits, table)
-        state = apply_controlled_diagonal(state, 1, qubits, table.power(-2))
+        state = apply_controlled_diagonal(state, 1, qubits, inverse_square(table))
     minus_tables = build_phase_tables(two_state_cost, sign=-1)
     branch_plus = apply_hadamard(uniform_superposition(1, 1), 1)
     branch_minus = branch_plus
@@ -213,7 +232,7 @@ def test_controlled_diagonal_rejects_overlapping_control():
 def test_u_pm_produces_phase_kick_state(two_state_cost):
     # H on the control then the controlled unitary must give the two-branch phase state
     state = apply_hadamard(uniform_superposition(1, 1), 1)
-    state = apply_u_pm(state, 1, two_state_cost)
+    state = apply_u_pm(state, 1, fuse_phase_tables(two_state_cost))
     c_nor = np.array([0.25, 0.75])
     expected = np.concatenate(
         [np.exp(0.5j * np.pi * c_nor), np.exp(-0.5j * np.pi * c_nor)]
@@ -224,7 +243,7 @@ def test_u_pm_produces_phase_kick_state(two_state_cost):
 def test_u_pm_constant_cost_gives_opposite_global_phases():
     cost = constant_cost(2, 1.7)  # C_nor = 0.5 everywhere
     state = apply_hadamard(uniform_superposition(2, 1), 2)
-    out = apply_u_pm(state, 2, cost)
+    out = apply_u_pm(state, 2, fuse_phase_tables(cost))
     ratio_zero = out.amplitudes[:4] / state.amplitudes[:4]
     ratio_one = out.amplitudes[4:] / state.amplitudes[4:]
     assert np.allclose(ratio_zero, np.exp(0.25j * np.pi), atol=1e-12)
@@ -239,9 +258,10 @@ def test_u_pm_with_control_flip_round_trip():
     def flip_control(s):
         return apply_hadamard(apply_diagonal(apply_hadamard(s, 3), (3,), flip_z), 3)
 
-    out = apply_u_pm(state, 3, cost)
+    phases = fuse_phase_tables(cost)
+    out = apply_u_pm(state, 3, phases)
     out = flip_control(out)
-    out = apply_u_pm(out, 3, cost)
+    out = apply_u_pm(out, 3, phases)
     out = flip_control(out)
     assert max_amplitude_deviation(out, state) < 1e-12
 
@@ -249,7 +269,7 @@ def test_u_pm_with_control_flip_round_trip():
 def test_u_pm_branches_apply_forward_and_inverse_unitary():
     cost = random_local_cost(4, 2, 1.5, seed=16)
     state = apply_hadamard(uniform_superposition(4, 1), 4)
-    out = apply_u_pm(state, 4, cost)
+    out = apply_u_pm(state, 4, fuse_phase_tables(cost))
     phases = np.exp(0.5j * np.pi * normalized_all(cost))
     base = uniform_superposition(4, 0).amplitudes
     np.testing.assert_allclose(
@@ -260,12 +280,31 @@ def test_u_pm_branches_apply_forward_and_inverse_unitary():
     )
 
 
+def test_fused_u_pm_matches_per_term_gate_product():
+    seed = 0
+    for n in range(1, 9):
+        for m in range(1, min(3, n) + 1):
+            for b in range(1, 11 - n):
+                seed += 1
+                cost = random_local_cost(n, m, 1.5, seed=300 + seed)
+                state = QuantumState(n, b, random_state(n, b, seed=seed))
+                for control in range(n, n + b):
+                    fused = apply_u_pm(state, control, fuse_phase_tables(cost))
+                    oracle = per_term_u_pm(state, control, cost)
+                    assert max_amplitude_deviation(fused, oracle) < 1e-12
+
+
+def test_fused_phase_vector_is_the_table_product():
+    cost = random_local_cost(6, 3, 1.5, seed=22)
+    assert np.abs(fuse_phase_tables(cost) - composite_phases(cost)).max() < 1e-14
+
+
 def test_u_pm_layout_mismatch_rejected():
-    cost = random_local_cost(3, 2, 1.5, seed=17)
+    phases = fuse_phase_tables(random_local_cost(3, 2, 1.5, seed=17))
     with pytest.raises(ValueError):
-        apply_u_pm(uniform_superposition(2, 1), 2, cost)
+        apply_u_pm(uniform_superposition(2, 1), 2, phases)
     with pytest.raises(IndexError):
-        apply_u_pm(uniform_superposition(3, 1), 0, cost)
+        apply_u_pm(uniform_superposition(3, 1), 0, phases)
 
 
 # --- marginals ---------------------------------------------------------------------
@@ -310,8 +349,32 @@ def test_every_gate_preserves_norm():
     for qubits, table in build_phase_tables(cost, sign=+1):
         state = apply_diagonal(state, qubits, table)
         assert abs(state.norm() - 1.0) < 1e-12
-    state = apply_u_pm(state, 3, cost)
+    state = apply_u_pm(state, 3, fuse_phase_tables(cost))
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_norm_is_accurate_on_a_twenty_qubit_state():
+    # a serial dot product drifts by several ulps here, and by more than
+    # NORM_ATOL at the 24-qubit gate-level states
+    from qanneal.circuit import closed_form_final_state
+
+    state = closed_form_final_state(random_local_cost(14, 2, 1.5, seed=5), 6)
+    amps = state.amplitudes
+    exact = math.fsum((amps.real**2).tolist()) + math.fsum((amps.imag**2).tolist())
+    assert abs(state.norm() - math.sqrt(exact)) < 1e-15
+
+
+def test_no_gate_mutates_its_input():
+    cost = random_local_cost(3, 2, 1.5, seed=24)
+    state = QuantumState(3, 2, random_state(3, 2, seed=25))
+    before = state.amplitudes.copy()
+    table = PhaseTable(tuple(np.exp(1j * np.array([0.1, 0.4, -0.3, 0.9]))))
+    for qubit in range(5):
+        apply_hadamard(state, qubit)
+    apply_diagonal(state, (1, 3), table)
+    for control in (3, 4):
+        apply_u_pm(state, control, fuse_phase_tables(cost))
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_product_decomposition_identity_random_costs():
