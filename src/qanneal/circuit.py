@@ -8,7 +8,7 @@ repetitions until that measurement succeeds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ from .statevec import (
     apply_hadamard,
     apply_u_pm,
     fuse_phase_tables,
-    marginal_probabilities,
     uniform_superposition,
 )
 
@@ -121,93 +120,20 @@ def postselect_zero(state: QuantumState, b: int | None = None) -> tuple[QuantumS
     return search, probability
 
 
-class _ClosedFormSampler:
-    """Samples runs from the analytic repetition law and output distribution."""
+def sampling_law(cost: CostFunction, b: int, mode: str) -> tuple[float, np.ndarray]:
+    """(log P0_b, cumulative P_b over search states) of one repeat-until-success run.
 
-    mode = "closed_form"
-
-    def __init__(self, cost: CostFunction, b: int):
-        if b < 1:
-            raise ValueError(f"need b >= 1, got {b}")
-        self.cost = cost
-        self.b = b
-        self.p0 = float(np.exp(ensemble.log_p0(cost, b)))
-        self.cumulative = np.cumsum(ensemble.boltzmann_distribution(cost, b))
-        self.costs = evaluate_all(cost)
-
-    def sample(self, rng: np.random.Generator, max_repetitions: int) -> RunOutcome:
-        if self.p0 <= 0.0:
-            raise RepetitionCutoffError(
-                "post-selection probability underflows to zero; no finite repetition count"
-            )
-        repetitions = int(rng.geometric(self.p0))
-        if repetitions > max_repetitions:
-            raise RepetitionCutoffError(
-                f"sampled {repetitions} repetitions, above the cutoff {max_repetitions}"
-            )
-        idx = _draw(self.cumulative, rng)
-        return RunOutcome(repetitions, bitstring(idx, self.cost.n), float(self.costs[idx]))
-
-
-class _GateLevelSampler:
-    """Simulates the deterministic part once, then measures per repetition.
-
-    The deterministic evolution is identical on every repetition, so the final
-    state is cached; each repetition draws a fresh control-register outcome.
+    ``closed_form`` takes both from the enumerated ensemble; ``gate_level``
+    takes them from the post-selected gate-level state.
     """
-
-    mode = "gate_level"
-
-    def __init__(self, cost: CostFunction, b: int, cap: int | None = None):
-        state = run_circuit(cost, b, cap)
-        self.cost = cost
-        self.b = b
-        controls = tuple(range(cost.n, cost.n + b))
-        self.cum_control = np.cumsum(marginal_probabilities(state, controls))
-        search, self.p0 = postselect_zero(state)
-        self.cum_search = np.cumsum(np.abs(search.amplitudes) ** 2)
-        self.costs = evaluate_all(cost)
-
-    def sample(self, rng: np.random.Generator, max_repetitions: int) -> RunOutcome:
-        repetitions = 0
-        while True:
-            repetitions += 1
-            if repetitions > max_repetitions:
-                raise RepetitionCutoffError(
-                    f"control register not all-zero after {max_repetitions} repetitions"
-                )
-            if _draw(self.cum_control, rng) == 0:
-                break
-        idx = _draw(self.cum_search, rng)
-        return RunOutcome(repetitions, bitstring(idx, self.cost.n), float(self.costs[idx]))
-
-
-def _draw(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    return min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(cumulative) - 1)
-
-
-def make_sampler(cost: CostFunction, b: int, mode: str, cap: int | None = None):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if b < 1:
+        raise ValueError(f"need b >= 1, got {b}")
     if mode == "closed_form":
-        return _ClosedFormSampler(cost, b)
-    if mode == "gate_level":
-        return _GateLevelSampler(cost, b, cap)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def sample_run(
-    cost: CostFunction,
-    b: int,
-    rng: np.random.Generator,
-    mode: str = "closed_form",
-    max_repetitions: int = DEFAULT_MAX_REPETITIONS,
-) -> RunOutcome:
-    """One repeat-until-success run with the given RNG stream."""
-    return make_sampler(cost, b, mode).sample(rng, max_repetitions)
-
-
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Per-trial stream derived deterministically from (master seed, trial index)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
+        return ensemble.log_p0(cost, b), np.cumsum(ensemble.boltzmann_distribution(cost, b))
+    search, probability = postselect_zero(run_circuit(cost, b))
+    return math.log(probability), np.cumsum(np.abs(search.amplitudes) ** 2)
 
 
 def sample_many(
@@ -216,28 +142,40 @@ def sample_many(
     trials: int,
     seed: int,
     mode: str = "closed_form",
-    threads: int = 1,
     max_repetitions: int = DEFAULT_MAX_REPETITIONS,
     record_aborts: bool = False,
 ) -> list[RunOutcome | None]:
-    """Independent trials with deterministic per-trial RNG streams.
+    """Independent repeat-until-success runs, drawn as arrays from ``sampling_law``.
 
-    The result list is ordered by trial index regardless of ``threads``.  With
-    ``record_aborts`` a trial that exceeds the repetition cutoff yields None
-    instead of raising.
+    Trial ``i`` uses row ``i`` of ``default_rng(seed).random((trials, 2))``:
+    column 0 inverts the geometric repetition law with success probability
+    P0_b, column 1 picks the kept search state by inverse CDF of P_b.  The
+    first k trials therefore do not depend on ``trials``.  A trial that needs
+    more than ``max_repetitions`` repetitions raises RepetitionCutoffError, or
+    yields None with ``record_aborts``.
     """
-    sampler = make_sampler(cost, b, mode)
-
-    def one(index: int) -> RunOutcome | None:
-        rng = trial_rng(seed, index)
-        try:
-            return sampler.sample(rng, max_repetitions)
-        except RepetitionCutoffError:
-            if record_aborts:
-                return None
-            raise
-
-    if threads <= 1:
-        return [one(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(trials)))
+    log_p0, cumulative = sampling_law(cost, b, mode)
+    p0 = math.exp(log_p0)
+    draws = np.random.default_rng(seed).random((trials, 2))
+    # repetitions = ceil(hazard / rate) is geometric; the cutoff is tested on
+    # hazard itself, so an unbounded count is never formed (rate = 0 when P0_b
+    # underflows, and then every trial aborts).  P0_b rounds to 1 when every
+    # normalized cost is within ~1e-8 of 0.
+    rate = -math.log1p(-p0) if p0 < 1.0 else math.inf
+    hazard = -np.log1p(-draws[:, 0])
+    kept = hazard < max_repetitions * rate
+    if not record_aborts and not kept.all():
+        raise RepetitionCutoffError(
+            f"trial {int(np.argmin(kept))} did not post-select within the cutoff of "
+            f"{max_repetitions} repetitions (P0_b = exp({log_p0:.6g}) = {p0:.3g})"
+        )
+    repetitions = np.clip(np.ceil(hazard[kept] / rate), 1, max_repetitions).astype(np.int64)
+    index = np.searchsorted(cumulative, draws[kept, 1], side="right")
+    index = np.minimum(index, len(cumulative) - 1)
+    costs = evaluate_all(cost)[index]
+    outcomes: list[RunOutcome | None] = [None] * trials
+    for trial, reps, idx, value in zip(
+        np.flatnonzero(kept).tolist(), repetitions.tolist(), index.tolist(), costs.tolist()
+    ):
+        outcomes[trial] = RunOutcome(reps, bitstring(idx, cost.n), value)
+    return outcomes

@@ -3,8 +3,9 @@
 Subcommands: generate, verify, sample, sweep, compare.  Every output embeds
 the tool version, the resolved experiment configuration, and the seed; with
 ``--no-timestamp`` reruns with identical flags are byte-identical.  Execution
-knobs (--out, --threads, --no-timestamp) are not part of the echoed config,
-so results are also byte-identical across thread counts.
+knobs (--out, --threads, --no-timestamp) are not part of the echoed config.
+``--threads`` is accepted for compatibility but has no effect: every
+command runs in one thread.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,7 +217,6 @@ def cmd_sample(args) -> int:
         args.trials,
         args.seed,
         mode=mode,
-        threads=args.threads,
         max_repetitions=args.max_repetitions,
         record_aborts=True,
     )
@@ -321,7 +320,7 @@ def cmd_compare(args) -> int:
     sa_params = {"n_steps": args.sa_steps}
     if args.sa_t_start is not None:
         sa_params["schedule"] = (args.sa_t_start, args.sa_ratio, args.sa_t_end)
-    record = _compare_parallel(cost, args.b, sa_params, args.trials, args.seed, args.threads)
+    record = baseline.compare_loads(cost, args.b, sa_params, args.trials, args.seed)
     argmin, vmin = baseline.brute_force_min(cost)
     per_trial = record["classical"]["per_trial"]
     record["classical"]["optimum_hit_fraction"] = (
@@ -346,39 +345,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _compare_parallel(cost, b, sa_params, trials, seed, threads) -> dict:
-    """compare_loads with the trial loop spread over a thread pool (order-stable)."""
-    if threads <= 1 or trials <= 1:
-        return baseline.compare_loads(cost, b, sa_params, trials, seed)
-    record = baseline.compare_loads(cost, b, sa_params, 0, seed)
-    schedule = tuple(sa_params.get("schedule") or baseline.default_schedule(cost))
-    n_steps = int(sa_params.get("n_steps", baseline.DEFAULT_N_STEPS))
-    target = record["classical"]["target_cost"]
-
-    def one(i: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        evals_to_target, report = baseline.anneal_to_target(cost, target, schedule, n_steps, rng)
-        return {
-            "trial": i,
-            "evaluations_to_target": evals_to_target,
-            "best_cost": report.best_cost,
-            "evaluations": report.evaluations,
-        }
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_trial = list(pool.map(one, range(trials)))
-    matched = [r["evaluations_to_target"] for r in per_trial if r["evaluations_to_target"] is not None]
-    record["classical"].update(
-        {
-            "trials": trials,
-            "per_trial": per_trial,
-            "matched_trials": len(matched),
-            "mean_evaluations_to_target": (sum(matched) / len(matched)) if matched else None,
-        }
-    )
-    return record
-
-
 # --- parser ----------------------------------------------------------------
 
 
@@ -392,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--threads", type=_positive_int, default=1, help="trial-level parallelism")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; has no effect (one thread)")
         p.add_argument(
             "--no-timestamp",
             action="store_true",

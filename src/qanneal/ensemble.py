@@ -132,30 +132,6 @@ def consistency_p0b(cost: CostFunction, b: float, cap: int | None = None) -> flo
 
 
 @dataclass(frozen=True)
-class EnsembleSummary:
-    """Per-state view of the output ensemble at one integer-or-real b."""
-
-    n: int
-    c_nor: np.ndarray
-    energies: np.ndarray
-    z: float
-    p0b: float
-    distribution: np.ndarray
-
-
-def summary(cost: CostFunction, b: float, cap: int | None = None) -> EnsembleSummary:
-    z, p0b = partition_function(cost, b, cap)
-    return EnsembleSummary(
-        n=cost.n,
-        c_nor=normalized_all(cost),
-        energies=energies(cost, cap),
-        z=z,
-        p0b=p0b,
-        distribution=boltzmann_distribution(cost, b, cap),
-    )
-
-
-@dataclass(frozen=True)
 class ThermoPoint:
     """Effective-thermodynamics snapshot at one temperature t = 1/b.
 

@@ -26,6 +26,7 @@ NORM_ATOL = 1e-12
 PHASE_MOD_ATOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_DEVIATION_BLOCK = 1 << 16
 
 
 class CapExceededError(RuntimeError):
@@ -224,21 +225,17 @@ def marginal_probabilities(state: QuantumState, qubit_subset: tuple[int, ...]) -
 
 
 def max_amplitude_deviation(a: QuantumState | np.ndarray, b: QuantumState | np.ndarray) -> float:
-    """Largest elementwise amplitude difference between two states."""
+    """Largest elementwise amplitude difference between two states.
+
+    Works in blocks of ``_DEVIATION_BLOCK`` amplitudes, so its temporaries stay
+    small next to the two full-size inputs.
+    """
     va = a.amplitudes if isinstance(a, QuantumState) else np.asarray(a)
     vb = b.amplitudes if isinstance(b, QuantumState) else np.asarray(b)
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    return float(np.max(np.abs(va - vb)))
-
-
-def dump_amplitudes(state: QuantumState, path: str):
-    """Debug dump: little-endian float64 pairs (re, im) in basis-index order."""
-    with open(path, "wb") as fh:
-        fh.write(state.amplitudes.astype("<c16").tobytes())
-
-
-def load_amplitudes(path: str, n_search: int, n_control: int) -> QuantumState:
-    with open(path, "rb") as fh:
-        amps = np.frombuffer(fh.read(), dtype="<c16")
-    return QuantumState(n_search, n_control, amps.astype(complex))
+    va, vb = va.reshape(-1), vb.reshape(-1)
+    return max(
+        float(np.max(np.abs(va[i : i + _DEVIATION_BLOCK] - vb[i : i + _DEVIATION_BLOCK])))
+        for i in range(0, va.size, _DEVIATION_BLOCK)
+    )

@@ -14,8 +14,6 @@ from qanneal.circuit import (
     postselect_zero,
     run_circuit,
     sample_many,
-    sample_run,
-    trial_rng,
 )
 from qanneal.cost import (
     constant_cost,
@@ -208,34 +206,54 @@ def test_concentration_splits_mass_over_degenerate_minima():
 # --- sampling ----------------------------------------------------------------
 
 
-def test_sample_run_deterministic_replay():
+def test_sample_many_deterministic_replay():
     cost = random_local_cost(4, 2, 1.5, seed=37)
     for mode in ("closed_form", "gate_level"):
-        a = sample_run(cost, 2, np.random.default_rng(99), mode=mode)
-        b = sample_run(cost, 2, np.random.default_rng(99), mode=mode)
+        a = sample_many(cost, 2, 32, seed=99, mode=mode)
+        b = sample_many(cost, 2, 32, seed=99, mode=mode)
         assert a == b
 
 
-def test_sample_run_modes_agree_on_distribution_support():
+def test_sample_many_modes_agree_on_distribution_support():
     cost = random_local_cost(3, 2, 1.5, seed=38)
-    out = sample_run(cost, 2, np.random.default_rng(5), mode="gate_level")
-    assert out.repetitions >= 1
-    assert len(out.result) == 3
-    assert out.cost_value == pytest.approx(evaluate_all(cost)[int(out.result, 2)])
+    for out in sample_many(cost, 2, 16, seed=5, mode="gate_level"):
+        assert out.repetitions >= 1
+        assert len(out.result) == 3
+        assert out.cost_value == pytest.approx(evaluate_all(cost)[int(out.result, 2)])
 
 
-def test_sample_run_rejects_unknown_mode():
+def test_sample_many_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        sample_run(constant_cost(2, 1.0), 1, np.random.default_rng(0), mode="magic")
+        sample_many(constant_cost(2, 1.0), 1, 1, seed=0, mode="magic")
 
 
 def test_repetition_cutoff_raises():
-    cost = constant_cost(3, 1.0)  # C_nor = 0.5: success probability 2^-b
-    with pytest.raises(RepetitionCutoffError):
-        # p0 = 2^-12; one allowed repetition almost surely fails for this seed
-        sample_run(cost, 12, np.random.default_rng(0), max_repetitions=1)
-    with pytest.raises(RepetitionCutoffError):
-        sample_run(cost, 12, np.random.default_rng(0), mode="gate_level", max_repetitions=1)
+    cost = constant_cost(3, 1.0)  # C_nor = 0.5: success probability 2^-12
+    for mode in ("closed_form", "gate_level"):
+        # one allowed repetition almost surely fails for this seed
+        with pytest.raises(RepetitionCutoffError):
+            sample_many(cost, 12, 1, seed=0, mode=mode, max_repetitions=1)
+
+
+@pytest.mark.parametrize("b", [500, 2000, 4096])
+def test_cutoff_names_the_limit_when_success_probability_is_tiny(b):
+    # P0_b = exp(-185), a subnormal exp(-730), and exp(-1492), which underflows to 0
+    cost = graph_partition_cost(replace(random_graph(8, 0.5, seed=7), lam=1.0))
+    with pytest.raises(RepetitionCutoffError) as info:
+        sample_many(cost, b, 4, seed=1)
+    message = str(info.value)
+    assert "cutoff of 1000000" in message and "P0_b" in message
+    assert str(np.iinfo(np.int64).max) not in message
+    assert sample_many(cost, b, 4, seed=1, record_aborts=True) == [None] * 4
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "gate_level"])
+def test_success_probability_rounding_to_one_takes_one_repetition(mode):
+    from conftest import full_table_cost
+
+    # C_nor = 1e-10 everywhere: cos^(2b) and so P0_b round to 1
+    cost = full_table_cost(2, np.full(4, 1e-10))
+    assert all(o.repetitions == 1 for o in sample_many(cost, 3, 16, seed=2, mode=mode))
 
 
 def test_sample_many_records_aborts():
@@ -245,11 +263,19 @@ def test_sample_many_records_aborts():
     assert any(o is None for o in outcomes)
 
 
-def test_sample_many_thread_invariance():
+def test_sample_many_prefix_is_stable():
+    # trial i reads row i of one (trials, 2) uniform block
     cost = random_local_cost(4, 2, 1.5, seed=39)
-    serial = sample_many(cost, 2, 64, seed=11, threads=1)
-    parallel = sample_many(cost, 2, 64, seed=11, threads=4)
-    assert serial == parallel
+    long = sample_many(cost, 2, 256, seed=11)
+    assert sample_many(cost, 2, 64, seed=11) == long[:64]
+    assert sample_many(cost, 2, 64, seed=12) != long[:64]
+
+
+def test_gate_and_closed_modes_draw_identical_runs():
+    cost = random_local_cost(4, 2, 1.5, seed=39)
+    gate = sample_many(cost, 2, 256, seed=11, mode="gate_level")
+    closed = sample_many(cost, 2, 256, seed=11, mode="closed_form")
+    assert [(o.repetitions, o.result) for o in gate] == [(o.repetitions, o.result) for o in closed]
 
 
 def test_mean_repetitions_matches_geometric_law():
@@ -281,12 +307,6 @@ def test_gate_level_sampler_matches_closed_form_statistics():
         counts[int(o.result, 2)] += 1
     tv = 0.5 * np.abs(counts / 4000 - ensemble.boltzmann_distribution(cost, 2)).sum()
     assert tv < 0.05
-
-
-def test_trial_rng_streams_are_distinct():
-    a = trial_rng(0, 0).random(4)
-    b = trial_rng(0, 1).random(4)
-    assert not np.allclose(a, b)
 
 
 def test_run_outcome_validates_repetitions():

@@ -1,9 +1,18 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from qanneal.cli import main
-from qanneal.cost import constant_cost, cost_from_dict, cost_to_dict, graph_from_dict
+from qanneal.cli import main, verification_report
+from qanneal.cost import (
+    constant_cost,
+    cost_from_dict,
+    cost_to_dict,
+    graph_from_dict,
+    graph_partition_cost,
+    random_graph,
+)
 
 
 def run(args, tmp_path, name):
@@ -112,6 +121,21 @@ def test_verify_refuses_gate_cap_overflow(graph_file, tmp_path, monkeypatch):
     monkeypatch.setenv("QANNEAL_MAX_QUBITS", "5")
     code = main(["verify", graph_file, "--b", "2", "--out", str(tmp_path / "x.json")])
     assert code == 1
+
+
+def test_verification_report_holds_at_most_three_vectors():
+    # gate-level and closed-form states are live together; the comparison
+    # between them must not add full-size temporaries
+    cost = graph_partition_cost(replace(random_graph(14, 0.5, seed=7), lam=1.0))
+    b = 4
+    tracemalloc.start()
+    try:
+        checks = verification_report(cost, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in checks)
+    assert peak <= 3 * (16 << (cost.n + b))
 
 
 # --- sample --------------------------------------------------------------------

@@ -15,7 +15,6 @@ from qanneal.cost import (
     random_local_cost,
 )
 from qanneal.ensemble import (
-    EnsembleSummary,
     EntropyCrossCheckError,
     asymptotic_energy,
     boltzmann_distribution,
@@ -27,7 +26,6 @@ from qanneal.ensemble import (
     internal_energy,
     log_p0,
     partition_function,
-    summary,
     sweep,
     thermo_point,
 )
@@ -333,19 +331,6 @@ def test_expected_repetitions_bounded_across_sizes():
         assert max(reps) <= 1.1 * 2**b
         assert min(reps) >= 0.8 * 2**b
         assert max(reps) / min(reps) < 1.15
-
-
-# --- summary ------------------------------------------------------------------------
-
-
-def test_summary_invariants():
-    c = random_local_cost(6, 2, 1.5, seed=60)
-    s = summary(c, 2.0)
-    assert isinstance(s, EnsembleSummary)
-    assert np.all(s.energies >= 0) and np.all(np.isfinite(s.energies))
-    assert s.distribution.sum() == pytest.approx(1.0, abs=1e-12)
-    assert s.z == pytest.approx((1 << c.n) * s.p0b, rel=1e-12)
-    assert internal_energy(c, 2.0) == pytest.approx(float(s.energies @ s.distribution))
 
 
 def test_log_p0_matches_direct_mean():

@@ -12,9 +12,7 @@ from qanneal.statevec import (
     apply_hadamard,
     apply_u_pm,
     build_phase_tables,
-    dump_amplitudes,
     fuse_phase_tables,
-    load_amplitudes,
     marginal_probabilities,
     max_amplitude_deviation,
     uniform_superposition,
@@ -385,16 +383,13 @@ def test_product_decomposition_identity_random_costs():
         assert np.abs(composite - expected).max() < 1e-12
 
 
-# --- binary dump -----------------------------------------------------------------------
-
-
-def test_amplitude_dump_round_trip(tmp_path):
-    state = QuantumState(2, 1, random_state(2, 1, seed=23))
-    path = tmp_path / "amps.bin"
-    dump_amplitudes(state, str(path))
-    loaded = load_amplitudes(str(path), 2, 1)
-    assert max_amplitude_deviation(loaded, state) == 0.0
-    # interleaved little-endian float64 pairs in index order
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    assert raw[0] == state.amplitudes[0].real
-    assert raw[1] == state.amplitudes[0].imag
+def test_max_amplitude_deviation_finds_the_largest_difference_in_any_block():
+    rng = np.random.default_rng(24)
+    size = 3 << 16  # spans several blocks
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for where in (0, (1 << 16) - 1, 1 << 16, size - 1):
+        b = a + 1e-13 * rng.standard_normal(size)
+        b[where] += 1e-9j
+        assert max_amplitude_deviation(a, b) == float(np.max(np.abs(a - b)))
+    with pytest.raises(ValueError):
+        max_amplitude_deviation(a, a[:-1])
