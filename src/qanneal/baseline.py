@@ -64,11 +64,12 @@ class CountingCost:
         return evaluate(self.cost, index)
 
 
-def brute_force_min(cost: CostFunction, cap: int | None = None) -> tuple[list[int], float]:
+def brute_force_min(cost: CostFunction) -> tuple[list[int], float]:
     """Exact minimum by exhaustive evaluation: (sorted argmin indices, min value)."""
-    cap = BRUTE_FORCE_CAP if cap is None else cap
-    if cost.n > cap:
-        raise CapExceededError(f"brute force over 2^{cost.n} states exceeds the cap n <= {cap}")
+    if cost.n > BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"brute force over 2^{cost.n} states exceeds the cap n <= {BRUTE_FORCE_CAP}"
+        )
     values = evaluate_all(cost)
     vmin = float(values.min())
     tol = ARGMIN_RTOL * max(1.0, abs(vmin))

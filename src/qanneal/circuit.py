@@ -50,7 +50,7 @@ class RunOutcome:
 
 
 def run_circuit(
-    cost: CostFunction, b: int, cap: int | None = None, record_steps: bool = False
+    cost: CostFunction, b: int, record_steps: bool = False
 ) -> QuantumState | list[QuantumState]:
     """Gate-level evolution with b control qubits.
 
@@ -59,7 +59,7 @@ def run_circuit(
     """
     if b < 1:
         raise ValueError(f"need at least one control qubit, got b = {b}")
-    state = uniform_superposition(cost.n, b, cap)
+    state = uniform_superposition(cost.n, b)
     phases = fuse_phase_tables(cost)
     # without record_steps only the current state and the gate's output are live
     steps = [state] if record_steps else None
@@ -75,7 +75,7 @@ def run_circuit(
     return steps if record_steps else state
 
 
-def closed_form_final_state(cost: CostFunction, b: int, cap: int | None = None) -> QuantumState:
+def closed_form_final_state(cost: CostFunction, b: int) -> QuantumState:
     """Final state directly from the closed form.
 
     The amplitude of |x; J> is i^w * cos^(b-w) * sin^w of (pi/2 * C_nor(x)) over
@@ -88,7 +88,7 @@ def closed_form_final_state(cost: CostFunction, b: int, cap: int | None = None) 
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     total = cost.n + b
-    _check_cap(total, cap, advice="")
+    _check_cap(total, advice="")
     theta = 0.5 * np.pi * normalized_all(cost)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     size = 1 << cost.n

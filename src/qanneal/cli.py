@@ -211,6 +211,9 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     cost, info = load_instance(args.instance)
     mode = {"gate": "gate_level", "closed": "closed_form"}[args.mode]
+    # the exact law first: it enforces the enumeration cap before any sampling work
+    exact = ensemble.boltzmann_distribution(cost, args.b)
+    p0b = float(math.exp(ensemble.log_p0(cost, args.b)))
     outcomes = circuit.sample_many(
         cost,
         args.b,
@@ -222,19 +225,17 @@ def cmd_sample(args) -> int:
     )
     successes = [o for o in outcomes if o is not None]
     counts = Counter(o.result for o in successes)
-    exact = ensemble.boltzmann_distribution(cost, args.b)
     empirical = np.zeros_like(exact)
     for o in successes:
         empirical[int(o.result, 2)] += 1.0
     if successes:
         empirical /= len(successes)
     tv_distance = 0.5 * float(np.abs(empirical - exact).sum()) if successes else None
-    p0b = float(math.exp(ensemble.log_p0(cost, args.b)))
     summary = {
         "trials": args.trials,
         "aborted_trials": sum(1 for o in outcomes if o is None),
         "p0b": p0b,
-        "expected_repetitions": (1.0 / p0b) if p0b > 0.0 else math.inf,
+        "expected_repetitions": ensemble.mean_repetitions(p0b),
         "mean_repetitions": (
             sum(o.repetitions for o in successes) / len(successes) if successes else None
         ),

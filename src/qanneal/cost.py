@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,6 +153,30 @@ class CostFunction:
                 f"[{values.min()}, {values.max()}]"
             )
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """All 2^n costs, indexed by assignment; built once per instance, read-only.
+
+        Term tables are broadcast-added in canonical order onto the constant,
+        so each entry is summed in the same order as ``evaluate``.
+        """
+        values = np.full(1 << self.n, self.constant)
+        tensor = values.reshape([2] * self.n)
+        for term in self.terms:
+            shape = [1] * self.n
+            for q in term.qubits:
+                shape[self.n - 1 - q] = 2
+            tensor += np.asarray(term.values).reshape(shape)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """E = -2 log cos(pi/2 * C_nor) per state, read-only; use ``ensemble.energies`` (capped)."""
+        values = -2.0 * np.log(np.cos(0.5 * np.pi * normalized_all(self)))
+        values.flags.writeable = False
+        return values
+
     @property
     def max_arity(self) -> int:
         return max((t.arity for t in self.terms), default=0)
@@ -203,24 +227,8 @@ def evaluate(cost: CostFunction, x: int | str | Sequence[int]) -> float:
 
 
 def evaluate_all(cost: CostFunction) -> np.ndarray:
-    """Vector of all 2^n costs, indexed by assignment.
-
-    Cached per cost object; treat the returned array as read-only.
-    """
-    return _evaluate_all_cached(cost)
-
-
-@lru_cache(maxsize=64)
-def _evaluate_all_cached(cost: CostFunction) -> np.ndarray:
-    size = 1 << cost.n
-    idx = np.arange(size, dtype=np.int64)
-    total = np.full(size, cost.constant, dtype=float)
-    for term in cost.terms:
-        sub = np.zeros(size, dtype=np.int64)
-        for j, q in enumerate(term.qubits):
-            sub |= ((idx >> q) & 1) << j
-        total += np.asarray(term.values, dtype=float)[sub]
-    return total
+    """Vector of all 2^n costs, indexed by assignment: the instance's read-only ``table``."""
+    return cost.table
 
 
 def normalize(cost: CostFunction, x: int | str | Sequence[int]) -> float:

@@ -38,8 +38,8 @@ def max_qubits() -> int:
     return int(os.environ.get("QANNEAL_MAX_QUBITS", DEFAULT_MAX_QUBITS))
 
 
-def _check_cap(total: int, cap: int | None, advice: str = "; use the closed-form mode for this size"):
-    cap = max_qubits() if cap is None else cap
+def _check_cap(total: int, advice: str = "; use the closed-form mode for this size"):
+    cap = max_qubits()
     if total > cap:
         raise CapExceededError(f"{total} qubits exceed the dense-amplitude cap of {cap}{advice}")
 
@@ -111,11 +111,11 @@ class PhaseTable:
         return max(0, (len(self.phases) - 1).bit_length())
 
 
-def uniform_superposition(n_search: int, n_control: int, cap: int | None = None) -> QuantumState:
+def uniform_superposition(n_search: int, n_control: int) -> QuantumState:
     """Equal amplitude on every search assignment, control register all zero."""
     if n_search < 1 or n_control < 0:
         raise ValueError("need n_search >= 1 and n_control >= 0")
-    _check_cap(n_search + n_control, cap)
+    _check_cap(n_search + n_control)
     amps = np.zeros(1 << (n_search + n_control), dtype=complex)
     amps[: 1 << n_search] = 1.0 / np.sqrt(1 << n_search)
     return QuantumState(n_search, n_control, amps)
@@ -212,16 +212,6 @@ def apply_u_pm(state: QuantumState, control_qubit: int, phases: np.ndarray) -> Q
     np.multiply(branches[:, 0], phases, out=out[:, 0])
     np.multiply(branches[:, 1], phases.conj(), out=out[:, 1])
     return QuantumState(n, state.n_control, out.reshape(-1))
-
-
-def marginal_probabilities(state: QuantumState, qubit_subset: tuple[int, ...]) -> np.ndarray:
-    """Born-rule marginal over a subset of qubits (sub-index convention as PhaseTable)."""
-    qubits = tuple(qubit_subset)
-    total = state.total_qubits
-    _check_qubits(qubits, total)
-    probs = np.abs(state._tensor()) ** 2
-    drop = tuple(total - 1 - q for q in range(total) if q not in qubits)
-    return probs.sum(axis=drop).reshape(-1)
 
 
 def max_amplitude_deviation(a: QuantumState | np.ndarray, b: QuantumState | np.ndarray) -> float:

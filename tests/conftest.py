@@ -77,6 +77,15 @@ def random_state(n_search: int, n_control: int, seed: int) -> "np.ndarray":
     return amps / np.linalg.norm(amps)
 
 
+def marginal_probabilities(state, qubit_subset: tuple) -> np.ndarray:
+    """Born-rule marginal over a subset of qubits (sub-index convention as PhaseTable)."""
+    qubits = tuple(qubit_subset)
+    total = state.total_qubits
+    probs = np.abs(state.amplitudes.reshape([2] * total)) ** 2
+    drop = tuple(total - 1 - q for q in range(total) if q not in qubits)
+    return probs.sum(axis=drop).reshape(-1)
+
+
 # --- per-term oracle for the fused controlled cost unitary -------------------
 
 

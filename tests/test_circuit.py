@@ -25,13 +25,12 @@ from qanneal.cost import (
 from qanneal.statevec import (
     CapExceededError,
     QuantumState,
-    marginal_probabilities,
     max_amplitude_deviation,
     uniform_superposition,
 )
 
 
-from conftest import literal_step_states
+from conftest import literal_step_states, marginal_probabilities
 
 
 @pytest.mark.parametrize("which", ["two_state", "k4"])
@@ -131,16 +130,18 @@ def test_run_circuit_requires_control_qubit():
         run_circuit(constant_cost(2, 1.0), 0)
 
 
-def test_run_circuit_cap_refusal_mentions_closed_form():
+def test_run_circuit_cap_refusal_mentions_closed_form(monkeypatch):
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "5")
     cost = random_local_cost(4, 2, 1.5, seed=35)
     with pytest.raises(CapExceededError, match="closed-form"):
-        run_circuit(cost, 3, cap=5)
+        run_circuit(cost, 3)
 
 
-def test_closed_form_cap_refusal_names_the_cap_only():
+def test_closed_form_cap_refusal_names_the_cap_only(monkeypatch):
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "5")
     cost = random_local_cost(4, 2, 1.5, seed=35)
     with pytest.raises(CapExceededError, match="cap of 5") as info:
-        closed_form_final_state(cost, 3, cap=5)
+        closed_form_final_state(cost, 3)
     assert "closed-form" not in str(info.value)
 
 

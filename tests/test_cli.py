@@ -186,6 +186,33 @@ def test_sample_gate_mode_refuses_above_cap(graph_file, tmp_path, monkeypatch):
     ) == 0
 
 
+def test_sample_refuses_above_enumeration_cap_before_sampling(tmp_path, monkeypatch):
+    from qanneal import circuit, ensemble
+
+    code, graph = run(
+        ["generate", "graph", "--v", "12", "--p", "0.5", "--lam", "1.0", "--seed", "7",
+         "--no-timestamp"],
+        tmp_path,
+        "g12.json",
+    )
+    assert code == 0
+    runs = []
+    original = circuit.run_circuit
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, "run_circuit", counting)
+    monkeypatch.setattr(ensemble, "ENUMERATION_CAP", 7)
+    code, out = run(
+        ["sample", str(graph), "--b", "2", "--trials", "4", "--mode", "gate"], tmp_path, "s.json"
+    )
+    assert code == 1
+    assert not out.exists()
+    assert runs == []
+
+
 def test_sample_reports_aborted_trials(tmp_path):
     inst = write_instance(tmp_path, constant_cost(3, 1.0))
     code, out = run(

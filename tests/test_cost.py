@@ -69,6 +69,28 @@ def test_evaluate_accepts_index_string_and_bits():
     assert evaluate(c, "0011") == evaluate(c, 3) == evaluate(c, [1, 1, 0, 0])
 
 
+# --- per-instance cost table -------------------------------------------------
+
+
+def test_evaluate_all_is_bit_identical_to_evaluate_on_asymmetric_terms():
+    # random tables are asymmetric in their qubits, so a wrong axis order shows
+    for n in range(1, 11):
+        for m in range(1, min(3, n) + 1):
+            for seed in range(3):
+                c = random_local_cost(n, m, 1.5, seed=100 * n + 10 * m + seed)
+                direct = np.array([evaluate(c, x) for x in range(1 << n)])
+                assert evaluate_all(c).tobytes() == direct.tobytes(), (n, m, seed)
+
+
+def test_evaluate_all_is_the_instance_table_and_read_only():
+    c = random_local_cost(6, 3, 1.5, seed=5)
+    assert evaluate_all(c) is evaluate_all(c) is c.table
+    with pytest.raises(ValueError):
+        evaluate_all(c)[0] = 1.0
+    # the table never enters equality or hashing
+    assert c == replace(c) and hash(c) == hash(replace(c))
+
+
 # --- normalize --------------------------------------------------------------
 
 

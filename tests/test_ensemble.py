@@ -1,9 +1,12 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qanneal import circuit
+from qanneal import circuit, ensemble
+from qanneal import cost as cost_module
 from qanneal.cost import (
     CostFunction,
     GraphPartitionInstance,
@@ -62,12 +65,38 @@ def test_energies_nonnegative_and_finite():
     assert np.all(e >= 0) and np.all(np.isfinite(e))
 
 
-def test_energies_enumeration_cap():
+def test_energies_enumeration_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         energies(constant_cost(25, 1.0))
-    # explicit smaller cap
+    # smaller cap
+    monkeypatch.setattr(ensemble, "ENUMERATION_CAP", 8)
     with pytest.raises(CapExceededError):
-        energies(constant_cost(10, 1.0), cap=8)
+        energies(constant_cost(10, 1.0))
+
+
+def test_energies_are_built_once_and_read_only():
+    c = random_local_cost(6, 3, 1.5, seed=5)
+    assert energies(c) is energies(c)
+    with pytest.raises(ValueError):
+        energies(c)[0] = 1.0
+    assert np.array_equal(energies(c), -2.0 * np.log(np.cos(0.5 * np.pi * normalized_all(c))))
+
+
+def test_sweep_builds_the_energies_once(monkeypatch):
+    c = graph_partition_cost(random_graph(10, 0.5, seed=7))
+    calls = []
+
+    def counting(cost):
+        calls.append(cost)
+        return normalized_all(cost)
+
+    # every pass of cos(pi/2 * C_nor) over the 2^n states goes through normalized_all
+    for module in (cost_module, ensemble, circuit):
+        if hasattr(module, "normalized_all"):
+            monkeypatch.setattr(module, "normalized_all", counting)
+    points = sweep(c, [1, 2, 4, 8, 16, 32])
+    assert len(points) == 6
+    assert len(calls) == 1
 
 
 # --- asymptotic branches -------------------------------------------------------
@@ -255,10 +284,11 @@ def test_gibbs_entropy_matches_shannon_entropy_of_distribution():
         assert point.s_gibbs == pytest.approx(shannon, abs=1e-9)
 
 
-def test_entropy_cross_check_negative_control():
+def test_entropy_cross_check_negative_control(monkeypatch):
     c = random_local_cost(6, 2, 1.5, seed=3)
+    monkeypatch.setattr(ensemble, "FD_REL_STEP", 0.9)
     with pytest.raises(EntropyCrossCheckError):
-        thermo_point(c, 0.5, fd_rel_step=0.9)
+        thermo_point(c, 0.5)
 
 
 def test_thermo_point_rejects_nonpositive_temperature(two_state_cost):
@@ -331,6 +361,19 @@ def test_expected_repetitions_bounded_across_sizes():
         assert max(reps) <= 1.1 * 2**b
         assert min(reps) >= 0.8 * 2**b
         assert max(reps) / min(reps) < 1.15
+
+
+@pytest.mark.parametrize("b", [2000, 4096])
+def test_expected_repetitions_is_inf_past_the_float_range(b):
+    # log P0_b = -730.38 at b = 2000: P0_b is subnormal and 1/P0_b overflows;
+    # at b = 4096 P0_b underflows to 0
+    c = graph_partition_cost(replace(random_graph(8, 0.5, seed=7), lam=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(log_p0(c, b))
+        assert expected_repetitions(c, b) == math.inf
+        assert thermo_point(c, 1.0 / b).expected_repetitions == math.inf
+        assert ensemble.mean_repetitions(0.0) == math.inf
 
 
 def test_log_p0_matches_direct_mean():

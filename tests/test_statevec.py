@@ -13,7 +13,6 @@ from qanneal.statevec import (
     apply_u_pm,
     build_phase_tables,
     fuse_phase_tables,
-    marginal_probabilities,
     max_amplitude_deviation,
     uniform_superposition,
 )
@@ -21,6 +20,7 @@ from conftest import (
     apply_controlled_diagonal,
     composite_phases,
     inverse_square,
+    marginal_probabilities,
     per_term_u_pm,
     random_state,
 )
@@ -45,9 +45,10 @@ def test_uniform_superposition_normalized_for_various_sizes():
         assert abs(uniform_superposition(n, b).norm() - 1.0) < 1e-12
 
 
-def test_uniform_superposition_size_cap():
+def test_uniform_superposition_size_cap(monkeypatch):
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "26")
     with pytest.raises(CapExceededError):
-        uniform_superposition(20, 10, cap=26)
+        uniform_superposition(20, 10)
 
 
 def test_cap_override_via_environment(monkeypatch):
