@@ -1,16 +1,31 @@
 """Ground truth and classical comparison: exhaustive minimization and simulated annealing.
 
 The annealer is a single-bit-flip Metropolis chain with a geometric cooling
-schedule.  Every proposal costs exactly one instrumented cost evaluation, so a
-run of ``n_steps`` proposals reports ``n_steps + 1`` evaluations (one for the
-initial state); the evaluation counter is the classical computational-load
-metric used by the comparison report.
+schedule (the single-spin-flip baseline of Isakov et al., arXiv:1401.1084).
+Every proposal costs exactly one cost evaluation, so a run of ``n_steps``
+proposals reports ``n_steps + 1`` evaluations (one for the initial state).
+The chain counts them with a loop counter; that count is the classical
+computational-load metric used by the comparison report.
+
+Stream layout: a chain makes exactly three draws from its generator, in this
+order, whatever ``n_steps`` is:
+
+1. ``x0 = integers(0, 2^n)``, the initial state;
+2. ``flips = integers(0, n, size=n_steps)``; step ``k`` proposes
+   ``x ^ (1 << flips[k])``;
+3. ``uniforms = random(n_steps)``; step ``k`` accepts an uphill move
+   (``delta > 0``) when ``temp > 0`` and ``uniforms[k] < exp(-delta / temp)``,
+   and reads ``uniforms[k]`` for nothing else.
+
+Costs are read from the instance's cost table for ``n <= ANNEAL_TABLE_MAX_N``
+(building it is not counted) and from ``evaluate`` above that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +34,7 @@ from .cost import CostFunction, bitstring, evaluate, evaluate_all
 from .statevec import CapExceededError
 
 BRUTE_FORCE_CAP = 24
+ANNEAL_TABLE_MAX_N = 20
 ARGMIN_RTOL = 1e-12
 
 # Geometric cooling defaults, relative to the cost span; tuned so the default
@@ -42,26 +58,6 @@ class BaselineReport:
     evaluations: int
     method: str
     seed: int | None
-
-
-class CountingCost:
-    """Cost wrapper whose evaluation counter is exact: +1 per evaluate call.
-
-    For small n the full value table is precomputed once (not counted); each
-    counted call is then a table lookup, which keeps long chains cheap without
-    changing the load accounting.
-    """
-
-    def __init__(self, cost: CostFunction):
-        self.cost = cost
-        self.evaluations = 0
-        self._table = evaluate_all(cost) if cost.n <= 20 else None
-
-    def evaluate(self, index: int) -> float:
-        self.evaluations += 1
-        if self._table is not None:
-            return float(self._table[index])
-        return evaluate(self.cost, index)
 
 
 def brute_force_min(cost: CostFunction) -> tuple[list[int], float]:
@@ -90,6 +86,9 @@ def _coerce_rng(rng) -> tuple[np.random.Generator, int | None]:
 
 def _validate_schedule(schedule: tuple[float, float, float]):
     t_start, ratio, t_end = schedule
+    for name, value in (("t_start", t_start), ("ratio", ratio), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"schedule {name} must be finite, got {value}")
     if t_start < 0 or t_end < 0 or t_end > t_start:
         raise ValueError(f"need 0 <= t_end <= t_start, got ({t_start}, {t_end})")
     if not 0.0 < ratio <= 1.0:
@@ -103,26 +102,38 @@ def _anneal(
     rng: np.random.Generator,
     target: float | None = None,
 ):
-    """Metropolis chain core; returns (best_index, best_cost, counter, evals_to_target)."""
+    """Metropolis chain core; returns (best_index, best_cost, evaluations, evals_to_target).
+
+    Draws its randomness in the three blocks of the module's stream layout.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     t_start, ratio, t_end = schedule
-    counting = CountingCost(cost)
-    x = int(rng.integers(0, 1 << cost.n))
-    e = counting.evaluate(x)
+    n = cost.n
+    x = int(rng.integers(0, 1 << n))
+    masks = [1 << flip for flip in rng.integers(0, n, size=n_steps).tolist()]
+    uniforms = rng.random(n_steps).tolist()
+    cost_of = cost.table.item if n <= ANNEAL_TABLE_MAX_N else partial(evaluate, cost)
+    exp = math.exp
+
+    e = cost_of(x)
+    evaluations = 1
     best_x, best_e = x, e
-    evals_to_target = counting.evaluations if target is not None and best_e <= target else None
+    evals_to_target = evaluations if target is not None and best_e <= target else None
     temp = t_start
-    for _ in range(n_steps):
-        y = x ^ (1 << int(rng.integers(cost.n)))
-        ey = counting.evaluate(y)
+    for mask, u in zip(masks, uniforms):
+        y = x ^ mask
+        ey = cost_of(y)
+        evaluations += 1
         delta = ey - e
-        if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):
+        if delta <= 0 or (temp > 0 and u < exp(-delta / temp)):
             x, e = y, ey
         if ey < best_e:
             best_x, best_e = y, ey
             if target is not None and evals_to_target is None and best_e <= target:
-                evals_to_target = counting.evaluations
+                evals_to_target = evaluations
         temp = max(t_end, temp * ratio)
-    return best_x, best_e, counting.evaluations, evals_to_target
+    return best_x, best_e, evaluations, evals_to_target
 
 
 def simulated_annealing(
@@ -132,8 +143,6 @@ def simulated_annealing(
     rng: np.random.Generator | int = 0,
 ) -> BaselineReport:
     """Single-bit-flip Metropolis annealing; returns the best state ever proposed."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
     schedule = default_schedule(cost) if schedule is None else schedule
     _validate_schedule(schedule)
     generator, seed = _coerce_rng(rng)
@@ -190,6 +199,7 @@ def compare_loads(
     """
     sa_params = dict(sa_params or {})
     schedule = sa_params.get("schedule") or default_schedule(cost)
+    _validate_schedule(schedule)
     n_steps = int(sa_params.get("n_steps", DEFAULT_N_STEPS))
     point = ensemble.thermo_point(cost, 1.0 / b)
     target = point.c_eff

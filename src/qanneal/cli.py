@@ -2,7 +2,8 @@
 
 Subcommands: generate, verify, sample, sweep, compare.  Every output embeds
 the tool version, the resolved experiment configuration, and the seed; with
-``--no-timestamp`` reruns with identical flags are byte-identical.  Execution
+``--no-timestamp`` reruns with identical flags are byte-identical.  JSON
+outputs are compact (no indentation), one document and a newline.  Execution
 knobs (--out, --threads, --no-timestamp) are not part of the echoed config.
 ``--threads`` is accepted for compatibility but has no effect: every
 command runs in one thread.
@@ -70,6 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+    return value
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -114,7 +122,7 @@ def _emit(text: str, out: str | None):
 
 
 def _emit_json(payload: dict, out: str | None):
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit(json.dumps(payload, separators=(",", ":")) + "\n", out)
 
 
 def load_instance(path: str) -> tuple[CostFunction, dict]:
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="quantum vs simulated-annealing load comparison")
     cmp_.add_argument("instance")
-    cmp_.add_argument("--b", type=float, required=True)
+    cmp_.add_argument("--b", type=_positive_float, required=True)
     cmp_.add_argument("--trials", type=_nonneg_int, default=20)
     cmp_.add_argument("--sa-steps", type=_positive_int, default=baseline.DEFAULT_N_STEPS)
     cmp_.add_argument("--sa-t-start", type=float, default=None)

@@ -177,6 +177,13 @@ class CostFunction:
         values.flags.writeable = False
         return values
 
+    @cached_property
+    def cost_limits(self) -> tuple[float, float]:
+        """(C(t=0), C(t=inf)), built once; use ``ensemble.effective_cost_limits`` (capped)."""
+        mean_energy = float(np.mean(self.energies))
+        c_inf = self.c_min + self.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * mean_energy))
+        return float(self.table.min()), c_inf
+
     @property
     def max_arity(self) -> int:
         return max((t.arity for t in self.terms), default=0)

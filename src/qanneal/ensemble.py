@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, evaluate_all
+from .cost import CostFunction
 from .statevec import CapExceededError
 
 ENUMERATION_CAP = 24
@@ -170,12 +170,10 @@ def effective_cost_limits(cost: CostFunction) -> tuple[float, float]:
     """(C(t=0), C(t=inf)): the exact minimum cost and the infinite-temperature effective cost.
 
     The t -> infinity limit follows from F(b -> 0) = mean energy over the
-    uniform ensemble.
+    uniform ensemble.  Both are computed once per instance.
     """
-    c0 = float(evaluate_all(cost).min())
-    mean_energy = float(np.mean(energies(cost)))
-    c_inf = cost.c_min + cost.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * mean_energy))
-    return c0, c_inf
+    _check_enum_cap(cost.n)
+    return cost.cost_limits
 
 
 def thermo_point(cost: CostFunction, t: float) -> ThermoPoint:

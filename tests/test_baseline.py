@@ -6,7 +6,7 @@ import pytest
 from qanneal import ensemble
 from qanneal.baseline import (
     BaselineReport,
-    CountingCost,
+    _anneal,
     anneal_to_target,
     brute_force_min,
     compare_loads,
@@ -26,26 +26,45 @@ from qanneal.statevec import CapExceededError
 
 
 def reference_chain(cost, schedule, n_steps, seed):
-    """Independent re-implementation of the documented Metropolis chain."""
+    """Independent re-implementation of the documented chain and its three-block stream."""
     t_start, ratio, t_end = schedule
     rng = np.random.default_rng(seed)
     x = int(rng.integers(0, 1 << cost.n))
+    flips = rng.integers(0, cost.n, size=n_steps)
+    uniforms = rng.random(n_steps)
     e = evaluate(cost, x)
     best_x, best_e = x, e
     uphill_accepted = 0
     temp = t_start
-    for _ in range(n_steps):
-        y = x ^ (1 << int(rng.integers(cost.n)))
+    for k in range(n_steps):
+        y = x ^ (1 << int(flips[k]))
         ey = evaluate(cost, y)
         if ey - e <= 0:
             x, e = y, ey
-        elif temp > 0 and rng.random() < math.exp(-(ey - e) / temp):
+        elif temp > 0 and uniforms[k] < math.exp(-(ey - e) / temp):
             x, e = y, ey
             uphill_accepted += 1
         if ey < best_e:
             best_x, best_e = y, ey
         temp = max(t_end, temp * ratio)
     return bitstring(best_x, cost.n), best_e, uphill_accepted
+
+
+class CountingGenerator:
+    """Generator proxy that counts every draw method call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.draws += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 # --- brute force ------------------------------------------------------------
@@ -128,12 +147,20 @@ def test_evaluation_counter_is_steps_plus_one():
         assert report.evaluations == n_steps + 1
 
 
-def test_counting_cost_counts_every_call():
-    c = random_local_cost(5, 2, 1.5, seed=12)
-    counter = CountingCost(c)
-    for x in (0, 3, 3, 7):
-        assert counter.evaluate(x) == pytest.approx(evaluate(c, x))
-    assert counter.evaluations == 4
+def test_chain_draws_three_blocks_whatever_the_length():
+    c = random_local_cost(8, 2, 1.5, seed=12)
+    for n_steps in (0, 1, 2000):
+        rng = CountingGenerator(n_steps)
+        _, _, evaluations, _ = _anneal(c, default_schedule(c), n_steps, rng)
+        assert evaluations == n_steps + 1
+        assert rng.draws <= 3
+
+
+def test_chain_above_table_threshold_never_builds_the_table():
+    c = random_local_cost(22, 2, 1.5, seed=12)
+    report = simulated_annealing(c, n_steps=50, rng=0)
+    assert report.evaluations == 51
+    assert "table" not in c.__dict__
 
 
 def test_best_cost_never_beats_brute_force():
@@ -151,6 +178,35 @@ def test_invalid_schedule_rejected():
         simulated_annealing(c, schedule=(1.0, 1.5, 0.1))
     with pytest.raises(ValueError):
         simulated_annealing(c, schedule=(1.0, 0.9, 2.0))
+
+
+@pytest.mark.parametrize(
+    "schedule, field",
+    [
+        ((math.nan, 0.998, 0.0), "t_start"),
+        ((math.inf, 0.998, 0.0), "t_start"),
+        ((1.0, math.nan, 0.0), "ratio"),
+        ((1.0, 0.998, math.nan), "t_end"),
+    ],
+)
+def test_non_finite_schedule_rejected_with_its_field(schedule, field):
+    c = random_local_cost(6, 2, 1.5, seed=17)
+    calls = [
+        lambda: simulated_annealing(c, schedule, 2000, 1),
+        lambda: anneal_to_target(c, 0.0, schedule, 2000, 1),
+        lambda: compare_loads(c, 2.0, {"schedule": schedule}, trials=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=field):
+            call()
+
+
+def test_negative_step_count_rejected_by_both_entry_points():
+    c = random_local_cost(6, 2, 1.5, seed=18)
+    with pytest.raises(ValueError, match="n_steps"):
+        simulated_annealing(c, n_steps=-5, rng=1)
+    with pytest.raises(ValueError, match="n_steps"):
+        anneal_to_target(c, 0.0, None, -5, 1)
 
 
 def test_anneal_to_target_reports_first_passage():
@@ -172,6 +228,22 @@ def test_quantum_load_column_matches_ensemble_formula():
     assert record["quantum"]["expected_repetitions"] == pytest.approx(
         ensemble.expected_repetitions(c, 2.0), rel=1e-12
     )
+
+
+def test_compare_loads_trial_streams_are_seed_sequence_children():
+    c = random_local_cost(7, 2, 1.5, seed=19)
+    record = compare_loads(c, 2.0, sa_params={"n_steps": 300}, trials=4, seed=5)
+    target = record["classical"]["target_cost"]
+    schedule = default_schedule(c)
+    for i, row in enumerate(record["classical"]["per_trial"]):
+        rng = np.random.default_rng(np.random.SeedSequence([5, i]))
+        evals, report = anneal_to_target(c, target, schedule, 300, rng)
+        assert row == {
+            "trial": i,
+            "evaluations_to_target": evals,
+            "best_cost": report.best_cost,
+            "evaluations": report.evaluations,
+        }
 
 
 def test_compare_loads_zero_trials_gives_empty_record():

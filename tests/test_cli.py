@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
 from qanneal.cli import main, verification_report
 from qanneal.cost import (
+    CostFunction,
     constant_cost,
     cost_from_dict,
     cost_to_dict,
@@ -338,7 +340,58 @@ def test_compare_thread_count_does_not_change_output(graph_file, tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+@pytest.mark.parametrize("b", ["0", "-1", "nan", "inf"])
+def test_compare_refuses_non_positive_or_non_finite_b(graph_file, tmp_path, b):
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", graph_file, "--b", b, "--trials", "1", "--no-timestamp"], tmp_path, "b.json")
+    assert exc.value.code == 2
+
+
+def test_compare_refuses_non_finite_schedule(graph_file, tmp_path, capsys):
+    code, out = run(
+        ["compare", graph_file, "--b", "2", "--trials", "2", "--sa-t-start", "nan",
+         "--no-timestamp"],
+        tmp_path,
+        "nan.json",
+    )
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("qanneal:") and "t_start" in err
+
+
+def test_sweep_computes_cost_limits_once(tmp_path, monkeypatch):
+    calls = []
+    original = CostFunction.cost_limits.func
+
+    def counted(cost):
+        calls.append(cost)
+        return original(cost)
+
+    prop = cached_property(counted)
+    prop.__set_name__(CostFunction, "cost_limits")
+    monkeypatch.setattr(CostFunction, "cost_limits", prop)
+    inst = write_instance(tmp_path, graph_partition_cost(random_graph(8, 0.5, seed=7)))
+    code, _ = run(["sweep", inst, "--b-list", "1,2,4,8,16,32", "--no-timestamp"], tmp_path, "s.csv")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # --- plumbing ---------------------------------------------------------------------
+
+
+def test_json_outputs_are_compact(graph_file, tmp_path):
+    commands = [
+        ["generate", "graph", "--v", "6", "--p", "0.5", "--lam", "1.0", "--seed", "4"],
+        ["verify", graph_file, "--b", "2"],
+        ["sample", graph_file, "--b", "2", "--trials", "16", "--seed", "1"],
+        ["compare", graph_file, "--b", "1", "--trials", "2", "--seed", "2"],
+    ]
+    for i, args in enumerate(commands):
+        code, out = run([*args, "--no-timestamp"], tmp_path, f"j{i}.json")
+        assert code == 0, args[0]
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", args[0]
 
 
 def test_every_command_rerun_is_byte_identical(graph_file, tmp_path):
