@@ -18,7 +18,8 @@ order, whatever ``n_steps`` is:
    and reads ``uniforms[k]`` for nothing else.
 
 Costs are read from the instance's cost table for ``n <= ANNEAL_TABLE_MAX_N``
-(building it is not counted) and from ``evaluate`` above that.
+or when the instance has already built it (building it is not counted), and
+from ``evaluate`` otherwise.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import numpy as np
 
 from . import ensemble
 from .cost import CostFunction, bitstring, evaluate, evaluate_all
-from .statevec import CapExceededError
 
-BRUTE_FORCE_CAP = 24
 ANNEAL_TABLE_MAX_N = 20
 ARGMIN_RTOL = 1e-12
 
@@ -62,10 +61,6 @@ class BaselineReport:
 
 def brute_force_min(cost: CostFunction) -> tuple[list[int], float]:
     """Exact minimum by exhaustive evaluation: (sorted argmin indices, min value)."""
-    if cost.n > BRUTE_FORCE_CAP:
-        raise CapExceededError(
-            f"brute force over 2^{cost.n} states exceeds the cap n <= {BRUTE_FORCE_CAP}"
-        )
     values = evaluate_all(cost)
     vmin = float(values.min())
     tol = ARGMIN_RTOL * max(1.0, abs(vmin))
@@ -113,7 +108,8 @@ def _anneal(
     x = int(rng.integers(0, 1 << n))
     masks = [1 << flip for flip in rng.integers(0, n, size=n_steps).tolist()]
     uniforms = rng.random(n_steps).tolist()
-    cost_of = cost.table.item if n <= ANNEAL_TABLE_MAX_N else partial(evaluate, cost)
+    with_table = n <= ANNEAL_TABLE_MAX_N or "table" in vars(cost)
+    cost_of = cost.table.item if with_table else partial(evaluate, cost)
     exp = math.exp
 
     e = cost_of(x)

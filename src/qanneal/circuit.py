@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble
-from .cost import CostFunction, bitstring, evaluate_all, normalized_all
+from .cost import CostFunction, bitstring, check_amplitude_cap, evaluate_all, normalized_all
 from .statevec import (
     QuantumState,
-    _check_cap,
     apply_hadamard,
     apply_u_pm,
     fuse_phase_tables,
@@ -88,7 +87,7 @@ def closed_form_final_state(cost: CostFunction, b: int) -> QuantumState:
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     total = cost.n + b
-    _check_cap(total, advice="")
+    check_amplitude_cap(total)
     theta = 0.5 * np.pi * normalized_all(cost)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     size = 1 << cost.n
@@ -144,6 +143,8 @@ def sample_many(
     mode: str = "closed_form",
     max_repetitions: int = DEFAULT_MAX_REPETITIONS,
     record_aborts: bool = False,
+    *,
+    _law: tuple[float, np.ndarray] | None = None,
 ) -> list[RunOutcome | None]:
     """Independent repeat-until-success runs, drawn as arrays from ``sampling_law``.
 
@@ -152,9 +153,11 @@ def sample_many(
     P0_b, column 1 picks the kept search state by inverse CDF of P_b.  The
     first k trials therefore do not depend on ``trials``.  A trial that needs
     more than ``max_repetitions`` repetitions raises RepetitionCutoffError, or
-    yields None with ``record_aborts``.
+    yields None with ``record_aborts``.  ``_law`` is ``sampling_law(cost, b,
+    mode)`` when the caller already holds it, so it is not computed twice.
     """
-    log_p0, cumulative = sampling_law(cost, b, mode)
+    table = evaluate_all(cost)  # the table cap is checked before any sampling work
+    log_p0, cumulative = sampling_law(cost, b, mode) if _law is None else _law
     p0 = math.exp(log_p0)
     draws = np.random.default_rng(seed).random((trials, 2))
     # repetitions = ceil(hazard / rate) is geometric; the cutoff is tested on
@@ -172,7 +175,7 @@ def sample_many(
     repetitions = np.clip(np.ceil(hazard[kept] / rate), 1, max_repetitions).astype(np.int64)
     index = np.searchsorted(cumulative, draws[kept, 1], side="right")
     index = np.minimum(index, len(cumulative) - 1)
-    costs = evaluate_all(cost)[index]
+    costs = table[index]
     outcomes: list[RunOutcome | None] = [None] * trials
     for trial, reps, idx, value in zip(
         np.flatnonzero(kept).tolist(), repetitions.tolist(), index.tolist(), costs.tolist()

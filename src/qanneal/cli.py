@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, baseline, circuit, ensemble
 from .cost import (
+    CapExceededError,
     CostFunction,
     cost_from_dict,
     cost_to_dict,
@@ -35,7 +36,6 @@ from .cost import (
     random_local_cost,
 )
 from .statevec import (
-    CapExceededError,
     PhaseTable,
     apply_diagonal,
     build_phase_tables,
@@ -87,10 +87,10 @@ def _nonneg_int(text: str) -> int:
 
 def _b_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [_positive_float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad b list {text!r}") from exc
-    if not values or any(v <= 0 for v in values):
+    if not values:
         raise argparse.ArgumentTypeError("b list must contain positive numbers")
     return values
 
@@ -164,12 +164,20 @@ def cmd_generate(args) -> int:
 
 
 def verification_report(cost: CostFunction, b: int, corrupt_phase: bool = False) -> list[dict]:
-    """Gate-vs-closed-form, product-decomposition and post-selection checks.
+    """Product-decomposition, gate-vs-closed-form and post-selection checks.
 
     ``corrupt_phase`` deliberately perturbs one phase-table entry before the
     product check; it exists as a negative control for the exit-code contract.
+    The cost table is read first and the gate route runs next, so an instance
+    past the table cap or the amplitude cap is refused before any other work.
     """
-    checks = []
+    c_nor = normalized_all(cost)
+    gate = circuit.run_circuit(cost, b)
+    closed = circuit.closed_form_final_state(cost, b)
+    gate_vs_closed = max_amplitude_deviation(gate, closed)
+    _, probability = circuit.postselect_zero(gate)
+    del gate, closed  # the product check below needs neither full-size state
+    postselection = abs(probability - math.exp(ensemble.log_p0(cost, b)))
 
     tables = build_phase_tables(cost, sign=+1)
     if corrupt_phase:
@@ -180,17 +188,12 @@ def verification_report(cost: CostFunction, b: int, corrupt_phase: bool = False)
     state = uniform_superposition(cost.n, 0)
     for qubits, table in tables:
         state = apply_diagonal(state, qubits, table)
-    expected = np.exp(0.5j * np.pi * normalized_all(cost)) / np.sqrt(1 << cost.n)
-    checks.append(_check("product_decomposition", max_amplitude_deviation(state.amplitudes, expected), PRODUCT_THRESHOLD))
-
-    gate = circuit.run_circuit(cost, b)
-    closed = circuit.closed_form_final_state(cost, b)
-    checks.append(_check("gate_vs_closed_form", max_amplitude_deviation(gate, closed), GATE_CLOSED_THRESHOLD))
-
-    _, probability = circuit.postselect_zero(gate)
-    residual = abs(probability - math.exp(ensemble.log_p0(cost, b)))
-    checks.append(_check("postselection_probability", residual, POSTSELECT_THRESHOLD))
-    return checks
+    expected = np.exp(0.5j * np.pi * c_nor) / np.sqrt(1 << cost.n)
+    return [
+        _check("product_decomposition", max_amplitude_deviation(state.amplitudes, expected), PRODUCT_THRESHOLD),
+        _check("gate_vs_closed_form", gate_vs_closed, GATE_CLOSED_THRESHOLD),
+        _check("postselection_probability", postselection, POSTSELECT_THRESHOLD),
+    ]
 
 
 def _check(name: str, residual: float, threshold: float) -> dict:
@@ -219,9 +222,11 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     cost, info = load_instance(args.instance)
     mode = {"gate": "gate_level", "closed": "closed_form"}[args.mode]
-    # the exact law first: it enforces the enumeration cap before any sampling work
+    # the exact law first: it reads the cost table, so its cap is checked before
+    # any sampling work; in closed-form mode it is also the law sampled from
     exact = ensemble.boltzmann_distribution(cost, args.b)
-    p0b = float(math.exp(ensemble.log_p0(cost, args.b)))
+    log_p0 = ensemble.log_p0(cost, args.b)
+    p0b = float(math.exp(log_p0))
     outcomes = circuit.sample_many(
         cost,
         args.b,
@@ -230,6 +235,7 @@ def cmd_sample(args) -> int:
         mode=mode,
         max_repetitions=args.max_repetitions,
         record_aborts=True,
+        _law=(log_p0, np.cumsum(exact)) if mode == "closed_form" else None,
     )
     successes = [o for o in outcomes if o is not None]
     counts = Counter(o.result for o in successes)
@@ -435,10 +441,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
-        print(f"qanneal: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, circuit.RepetitionCutoffError) as exc:
+    except (CapExceededError, ValueError, OSError, circuit.RepetitionCutoffError) as exc:
         print(f"qanneal: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ Bit conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -33,9 +34,28 @@ MARGIN_REL = 0.5e-3
 MARGIN_FLOOR = 1e-9
 MARGIN_ULPS = 4
 
-# Above this size the constructor refuses to brute-force-verify hand-supplied
-# bounds that are not already guaranteed by interval arithmetic.
-BRUTE_FORCE_VERIFY_CAP = 20
+# Dense-array size policy: each cap is checked once, where its array is
+# allocated.  The cost table (float64, 2^n entries) checks TABLE_MAX_BITS
+# itself, and every dense enumeration (energies, cost limits, brute force,
+# bound verification, annealer reads) is read from it.  Amplitude vectors
+# (complex128, 2^(n+b) entries) check AMPLITUDE_MAX_QUBITS, which the
+# environment variable QANNEAL_MAX_QUBITS overrides at call time.
+TABLE_MAX_BITS = 24
+AMPLITUDE_MAX_QUBITS = 26
+
+
+class CapExceededError(RuntimeError):
+    """Raised when a dense array would exceed its size cap."""
+
+
+def check_amplitude_cap(qubits: int, advice: str = ""):
+    """Refuse an amplitude vector over more qubits than the cap (QANNEAL_MAX_QUBITS overrides it)."""
+    cap = int(os.environ.get("QANNEAL_MAX_QUBITS", AMPLITUDE_MAX_QUBITS))
+    if qubits > cap:
+        raise CapExceededError(
+            f"the amplitude vector needs {16 << qubits} bytes (2^{qubits} entries), "
+            f"over the cap of {cap} qubits{advice}"
+        )
 
 
 def index_of(x: int | str | Sequence[int], n: int) -> int:
@@ -141,12 +161,7 @@ class CostFunction:
         lo, hi = loose_range(self.constant, self.terms)
         if self.c_min < lo and hi < self.c_max:
             return  # interval-consistent: every assignment is inside (c_min, c_max)
-        if self.n > BRUTE_FORCE_VERIFY_CAP:
-            raise ValueError(
-                "bounds are not interval-consistent and n > "
-                f"{BRUTE_FORCE_VERIFY_CAP} forbids brute-force verification"
-            )
-        values = evaluate_all(self)
+        values = self.table  # exhaustive check, refused above the table cap
         if not (self.c_min < values.min() and values.max() < self.c_max):
             raise ValueError(
                 f"bounds ({self.c_min}, {self.c_max}) are not strict: cost range is "
@@ -158,8 +173,14 @@ class CostFunction:
         """All 2^n costs, indexed by assignment; built once per instance, read-only.
 
         Term tables are broadcast-added in canonical order onto the constant,
-        so each entry is summed in the same order as ``evaluate``.
+        so each entry is summed in the same order as ``evaluate``.  Refused
+        above ``TABLE_MAX_BITS``.
         """
+        if self.n > TABLE_MAX_BITS:
+            raise CapExceededError(
+                f"the cost table needs {8 << self.n} bytes (2^{self.n} entries), "
+                f"over the cap of {TABLE_MAX_BITS} bits"
+            )
         values = np.full(1 << self.n, self.constant)
         tensor = values.reshape([2] * self.n)
         for term in self.terms:
@@ -172,14 +193,14 @@ class CostFunction:
 
     @cached_property
     def energies(self) -> np.ndarray:
-        """E = -2 log cos(pi/2 * C_nor) per state, read-only; use ``ensemble.energies`` (capped)."""
+        """E = -2 log cos(pi/2 * C_nor) per state, read-only; built from ``table``."""
         values = -2.0 * np.log(np.cos(0.5 * np.pi * normalized_all(self)))
         values.flags.writeable = False
         return values
 
     @cached_property
     def cost_limits(self) -> tuple[float, float]:
-        """(C(t=0), C(t=inf)), built once; use ``ensemble.effective_cost_limits`` (capped)."""
+        """(C(t=0), C(t=inf)), built once from ``table`` and ``energies``."""
         mean_energy = float(np.mean(self.energies))
         c_inf = self.c_min + self.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * mean_energy))
         return float(self.table.min()), c_inf

@@ -8,9 +8,9 @@ entropy, the effective cost at temperature t, and the resulting optimization
 gain and accuracy.
 
 The energies are the one enumeration: each ``CostFunction`` builds them once,
-read-only, and every quantity here is a Boltzmann sum of e^(-bE) over them.
-The enumeration cap and the finite-difference step and tolerance are module
-constants, read at call time.
+read-only, from its cost table (which refuses above ``cost.TABLE_MAX_BITS``),
+and every quantity here is a Boltzmann sum of e^(-bE) over them.  The
+finite-difference step and tolerance are module constants, read at call time.
 
 Conventions:
 
@@ -33,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction
-from .statevec import CapExceededError
 
-ENUMERATION_CAP = 24
 FD_REL_STEP = 1e-4
 FD_REL_TOL = 1e-6
 FD_ABS_FLOOR = 1e-9
@@ -44,13 +42,6 @@ DEGENERACY_RTOL = 1e-12
 
 class EntropyCrossCheckError(RuntimeError):
     """Analytic and finite-difference entropies disagree beyond tolerance."""
-
-
-def _check_enum_cap(n: int):
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"exhaustive enumeration over 2^{n} states exceeds the cap n <= {ENUMERATION_CAP}"
-        )
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -63,7 +54,6 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def energies(cost: CostFunction) -> np.ndarray:
     """Effective energy of every state: E = -2 log cos(pi/2 * C_nor); >= 0, finite, read-only."""
-    _check_enum_cap(cost.n)
     return cost.energies
 
 
@@ -172,7 +162,6 @@ def effective_cost_limits(cost: CostFunction) -> tuple[float, float]:
     The t -> infinity limit follows from F(b -> 0) = mean energy over the
     uniform ensemble.  Both are computed once per instance.
     """
-    _check_enum_cap(cost.n)
     return cost.cost_limits
 
 
@@ -184,8 +173,8 @@ def thermo_point(cost: CostFunction, t: float) -> ThermoPoint:
     disagreement beyond ``FD_REL_TOL`` (relative, with a small absolute floor
     near s = 0) raises EntropyCrossCheckError.
     """
-    if t <= 0:
-        raise ValueError(f"temperature must be > 0, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"temperature must be positive and finite, got {t}")
     b = 1.0 / t
     lp0 = log_p0(cost, b)
     f = -lp0 / b
@@ -227,10 +216,10 @@ def thermo_point(cost: CostFunction, t: float) -> ThermoPoint:
 
 
 def sweep(cost: CostFunction, b_values) -> list[ThermoPoint]:
-    """Thermo points at t = 1/b for each b (all must be > 0), in the given order."""
+    """Thermo points at t = 1/b for each b (all positive and finite), in the given order."""
     points = []
     for b in b_values:
-        if b <= 0:
-            raise ValueError(f"sweep requires b > 0, got {b}")
+        if not (math.isfinite(b) and b > 0):
+            raise ValueError(f"sweep requires positive finite b, got {b}")
         points.append(thermo_point(cost, 1.0 / float(b)))
     return points

@@ -14,34 +14,18 @@ high-order ones.  Qubit ``q`` is bit ``q`` of the basis index; control qubit
 from __future__ import annotations
 
 import cmath
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction
+# CapExceededError lives with the size policy in ``cost``; it is re-exported here.
+from .cost import CapExceededError, CostFunction, check_amplitude_cap
 
-DEFAULT_MAX_QUBITS = 26
 NORM_ATOL = 1e-12
 PHASE_MOD_ATOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _DEVIATION_BLOCK = 1 << 16
-
-
-class CapExceededError(RuntimeError):
-    """Raised when a dense state would exceed the configured qubit cap."""
-
-
-def max_qubits() -> int:
-    """Amplitude cap on n_search + n_control; QANNEAL_MAX_QUBITS overrides the default."""
-    return int(os.environ.get("QANNEAL_MAX_QUBITS", DEFAULT_MAX_QUBITS))
-
-
-def _check_cap(total: int, advice: str = "; use the closed-form mode for this size"):
-    cap = max_qubits()
-    if total > cap:
-        raise CapExceededError(f"{total} qubits exceed the dense-amplitude cap of {cap}{advice}")
 
 
 def _norm_sq(amps: np.ndarray) -> float:
@@ -115,7 +99,7 @@ def uniform_superposition(n_search: int, n_control: int) -> QuantumState:
     """Equal amplitude on every search assignment, control register all zero."""
     if n_search < 1 or n_control < 0:
         raise ValueError("need n_search >= 1 and n_control >= 0")
-    _check_cap(n_search + n_control)
+    check_amplitude_cap(n_search + n_control, "; use the closed-form mode for this size")
     amps = np.zeros(1 << (n_search + n_control), dtype=complex)
     amps[: 1 << n_search] = 1.0 / np.sqrt(1 << n_search)
     return QuantumState(n_search, n_control, amps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qanneal import ensemble
+from qanneal import baseline, ensemble
 from qanneal.baseline import (
     BaselineReport,
     _anneal,
@@ -161,6 +161,22 @@ def test_chain_above_table_threshold_never_builds_the_table():
     report = simulated_annealing(c, n_steps=50, rng=0)
     assert report.evaluations == 51
     assert "table" not in c.__dict__
+
+
+def test_chain_above_table_threshold_reads_a_table_already_built(monkeypatch):
+    c = random_local_cost(22, 2, 1.5, seed=12)
+    by_evaluate = simulated_annealing(c, n_steps=300, rng=4)
+    assert "table" not in vars(c)
+    assert c.table.size == 1 << 22
+    calls = []
+    monkeypatch.setattr(baseline, "evaluate", lambda *args: calls.append(args))
+    assert simulated_annealing(c, n_steps=300, rng=4) == by_evaluate
+    assert calls == []
+
+
+def test_brute_force_refusal_names_the_table_bytes():
+    with pytest.raises(CapExceededError, match="cost table needs 268435456 bytes"):
+        brute_force_min(constant_cost(25, 1.0))
 
 
 def test_best_cost_never_beats_brute_force():

@@ -145,6 +145,12 @@ def test_closed_form_cap_refusal_names_the_cap_only(monkeypatch):
     assert "closed-form" not in str(info.value)
 
 
+def test_closed_form_refuses_above_the_table_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr("qanneal.cost.TABLE_MAX_BITS", 3)
+    with pytest.raises(CapExceededError, match="cost table needs 128 bytes"):
+        closed_form_final_state(random_local_cost(4, 2, 1.5, seed=35), 1)
+
+
 # --- post-selection ----------------------------------------------------------
 
 

@@ -125,6 +125,47 @@ def test_verify_refuses_gate_cap_overflow(graph_file, tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_verify_refuses_above_the_table_cap_before_any_amplitude_vector(tmp_path, monkeypatch):
+    from qanneal import circuit, cli, statevec
+
+    code, graph = run(
+        ["generate", "graph", "--v", "8", "--p", "0.5", "--lam", "1.0", "--seed", "7",
+         "--no-timestamp"],
+        tmp_path,
+        "g8.json",
+    )
+    assert code == 0
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("an amplitude vector was allocated")
+
+    for module, name in [(circuit, "run_circuit"), (circuit, "uniform_superposition"),
+                         (cli, "uniform_superposition"), (statevec, "uniform_superposition")]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr("qanneal.cost.TABLE_MAX_BITS", 7)
+    code, out = run(["verify", str(graph), "--b", "2"], tmp_path, "v.json")
+    assert code == 1
+    assert not out.exists()
+    assert calls == []
+
+
+def test_verify_refuses_above_the_amplitude_cap_before_the_product_check(
+    graph_file, tmp_path, monkeypatch
+):
+    from qanneal import cli
+
+    def forbidden(*args):
+        raise AssertionError("the product check ran")
+
+    monkeypatch.setattr(cli, "apply_diagonal", forbidden)
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "5")
+    code, out = run(["verify", graph_file, "--b", "2"], tmp_path, "v.json")
+    assert code == 1
+    assert not out.exists()
+
+
 def test_verification_report_holds_at_most_three_vectors():
     # gate-level and closed-form states are live together; the comparison
     # between them must not add full-size temporaries
@@ -206,13 +247,34 @@ def test_sample_refuses_above_enumeration_cap_before_sampling(tmp_path, monkeypa
         return original(*args, **kwargs)
 
     monkeypatch.setattr(circuit, "run_circuit", counting)
-    monkeypatch.setattr(ensemble, "ENUMERATION_CAP", 7)
+    monkeypatch.setattr("qanneal.cost.TABLE_MAX_BITS", 7)
     code, out = run(
         ["sample", str(graph), "--b", "2", "--trials", "4", "--mode", "gate"], tmp_path, "s.json"
     )
     assert code == 1
     assert not out.exists()
     assert runs == []
+
+
+def test_sample_computes_the_closed_form_law_once(tmp_path, monkeypatch):
+    from qanneal import ensemble
+
+    calls = {"log_p0": 0, "boltzmann_distribution": 0}
+    for name in calls:
+        original = getattr(ensemble, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ensemble, name, counted)
+    inst = write_instance(tmp_path, graph_partition_cost(random_graph(8, 0.5, seed=7)))
+    for mode in ("closed", "gate"):
+        calls.update({name: 0 for name in calls})
+        code, _ = run(["sample", inst, "--b", "3", "--trials", "50", "--mode", mode,
+                       "--no-timestamp"], tmp_path, f"{mode}.json")
+        assert code == 0
+        assert calls == {"log_p0": 1, "boltzmann_distribution": 1}, mode
 
 
 def test_sample_reports_aborted_trials(tmp_path):
@@ -265,6 +327,14 @@ def test_sweep_csv_columns_and_checks(graph_file, tmp_path):
     assert all(row[-1] == "ok" for row in rows)
     accuracy = [float(row[8]) for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(accuracy, accuracy[1:]))
+
+
+@pytest.mark.parametrize("b", ["nan", "inf", "0", "-1", "1,nan", "2,inf"])
+def test_sweep_refuses_non_positive_or_non_finite_b(graph_file, tmp_path, b):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", graph_file, "--b-list", b, "--no-timestamp"], tmp_path, "b.csv")
+    assert exc.value.code == 2
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_sweep_flags_degenerate_instance(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qanneal.cost import (
+    CapExceededError,
     CostFunction,
     GraphPartitionInstance,
     LocalTerm,
@@ -103,6 +104,29 @@ def test_bounds_must_be_strict():
     # a cost value equal to c_min is rejected at construction
     with pytest.raises(ValueError):
         CostFunction(n=1, constant=0.0, terms=(LocalTerm((0,), (0.0, 1.0)),), c_min=0.0, c_max=1.5)
+
+
+def test_strict_bounds_past_interval_arithmetic_are_verified_exhaustively_at_n_21():
+    # the two terms cannot reach their maxima together: the cost range is
+    # [0, 1] while interval arithmetic gives [0, 2], past c_max
+    terms = (LocalTerm((0,), (1.0, 0.0)), LocalTerm((0, 1), (0.0, 1.0, 0.0, 1.0)))
+    c = CostFunction(n=21, constant=0.0, terms=terms, c_min=-0.5, c_max=1.5)
+    assert float(c.table.max()) == 1.0
+    with pytest.raises(ValueError, match="not strict"):
+        CostFunction(n=21, constant=0.0, terms=terms, c_min=-0.5, c_max=1.0)
+
+
+def test_cost_table_refusal_names_its_bytes_and_cap():
+    c = constant_cost(25, 1.0)
+    with pytest.raises(CapExceededError, match=r"cost table needs 268435456 bytes .*cap of 24"):
+        c.table
+    assert "table" not in vars(c)
+
+
+def test_unverifiable_bounds_above_the_table_cap_are_refused():
+    terms = (LocalTerm((0,), (1.0, 0.0)), LocalTerm((0, 1), (0.0, 1.0, 0.0, 1.0)))
+    with pytest.raises(CapExceededError, match="cap of 24"):
+        CostFunction(n=25, constant=0.0, terms=terms, c_min=-0.5, c_max=1.5)
 
 
 def test_normalize_monotone_in_evaluate():

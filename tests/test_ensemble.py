@@ -69,7 +69,7 @@ def test_energies_enumeration_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         energies(constant_cost(25, 1.0))
     # smaller cap
-    monkeypatch.setattr(ensemble, "ENUMERATION_CAP", 8)
+    monkeypatch.setattr("qanneal.cost.TABLE_MAX_BITS", 8)
     with pytest.raises(CapExceededError):
         energies(constant_cost(10, 1.0))
 
@@ -338,6 +338,24 @@ def test_sweep_accuracy_endpoints(plateau_cost):
 def test_sweep_rejects_nonpositive_b(two_state_cost):
     with pytest.raises(ValueError):
         sweep(two_state_cost, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_sweep_and_thermo_point_refuse_non_finite_or_non_positive_values(two_state_cost, value):
+    with pytest.raises(ValueError, match="finite"):
+        sweep(two_state_cost, [1.0, value])
+    with pytest.raises(ValueError, match="finite"):
+        thermo_point(two_state_cost, value)
+
+
+def test_every_dense_enumeration_refuses_above_the_table_cap():
+    assert cost_module.TABLE_MAX_BITS == 24
+    c = constant_cost(25, 1.0)
+    for enumeration in (energies, effective_cost_limits, evaluate_all, normalized_all):
+        with pytest.raises(CapExceededError, match="needs 268435456 bytes"):
+            enumeration(c)
+    with pytest.raises(CapExceededError, match="cap of 24"):
+        log_p0(c, 1.0)
 
 
 def test_accuracy_roughly_size_independent_for_graph_family():

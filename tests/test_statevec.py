@@ -51,6 +51,15 @@ def test_uniform_superposition_size_cap(monkeypatch):
         uniform_superposition(20, 10)
 
 
+def test_amplitude_refusal_names_its_bytes_and_the_default_cap(monkeypatch):
+    monkeypatch.delenv("QANNEAL_MAX_QUBITS", raising=False)
+    with pytest.raises(CapExceededError, match=r"needs 2147483648 bytes .*cap of 26 qubits"):
+        uniform_superposition(20, 7)
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "5")
+    with pytest.raises(CapExceededError, match=r"amplitude vector needs 1024 bytes .*cap of 5"):
+        uniform_superposition(4, 2)
+
+
 def test_cap_override_via_environment(monkeypatch):
     monkeypatch.setenv("QANNEAL_MAX_QUBITS", "4")
     with pytest.raises(CapExceededError):
