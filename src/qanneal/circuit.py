@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble
-from .cost import CostFunction, bitstring, check_amplitude_cap, evaluate_all, normalized_all
+from .cost import (
+    CostFunction,
+    bitstring,
+    check_amplitude_cap,
+    check_table_cap,
+    evaluate_all,
+    normalized_all,
+)
 from .statevec import (
     QuantumState,
     apply_hadamard,
@@ -156,8 +163,10 @@ def sample_many(
     yields None with ``record_aborts``.  ``_law`` is ``sampling_law(cost, b,
     mode)`` when the caller already holds it, so it is not computed twice.
     """
-    table = evaluate_all(cost)  # the table cap is checked before any sampling work
+    # both caps before either array: the table cap here, the amplitude cap in the gate route
+    check_table_cap(cost.n)
     log_p0, cumulative = sampling_law(cost, b, mode) if _law is None else _law
+    table = evaluate_all(cost)
     p0 = math.exp(log_p0)
     draws = np.random.default_rng(seed).random((trials, 2))
     # repetitions = ceil(hazard / rate) is geometric; the cutoff is tested on

@@ -26,6 +26,7 @@ from . import __version__, baseline, circuit, ensemble
 from .cost import (
     CapExceededError,
     CostFunction,
+    check_table_cap,
     cost_from_dict,
     cost_to_dict,
     graph_from_dict,
@@ -59,6 +60,7 @@ SWEEP_COLUMNS = (
     "Delta",
     "accuracy",
     "P0b",
+    "log_P0b",
     "expected_repetitions",
     "checks",
 )
@@ -168,10 +170,11 @@ def verification_report(cost: CostFunction, b: int, corrupt_phase: bool = False)
 
     ``corrupt_phase`` deliberately perturbs one phase-table entry before the
     product check; it exists as a negative control for the exit-code contract.
-    The cost table is read first and the gate route runs next, so an instance
-    past the table cap or the amplitude cap is refused before any other work.
+    The table cap is checked first and the gate route, which checks the
+    amplitude cap before its state vector, runs next: an instance past either
+    cap is refused before any array is built.
     """
-    c_nor = normalized_all(cost)
+    check_table_cap(cost.n)
     gate = circuit.run_circuit(cost, b)
     closed = circuit.closed_form_final_state(cost, b)
     gate_vs_closed = max_amplitude_deviation(gate, closed)
@@ -188,7 +191,7 @@ def verification_report(cost: CostFunction, b: int, corrupt_phase: bool = False)
     state = uniform_superposition(cost.n, 0)
     for qubits, table in tables:
         state = apply_diagonal(state, qubits, table)
-    expected = np.exp(0.5j * np.pi * c_nor) / np.sqrt(1 << cost.n)
+    expected = np.exp(0.5j * np.pi * normalized_all(cost)) / np.sqrt(1 << cost.n)
     return [
         _check("product_decomposition", max_amplitude_deviation(state.amplitudes, expected), PRODUCT_THRESHOLD),
         _check("gate_vs_closed_form", gate_vs_closed, GATE_CLOSED_THRESHOLD),
@@ -222,8 +225,11 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     cost, info = load_instance(args.instance)
     mode = {"gate": "gate_level", "closed": "closed_form"}[args.mode]
-    # the exact law first: it reads the cost table, so its cap is checked before
-    # any sampling work; in closed-form mode it is also the law sampled from
+    # both caps before either array: the table cap here, and in gate mode the
+    # amplitude cap, which the gate route checks before its state vector
+    check_table_cap(cost.n)
+    law = circuit.sampling_law(cost, args.b, mode) if mode == "gate_level" else None
+    # the exact law reads the cost table; in closed-form mode it is also the law sampled from
     exact = ensemble.boltzmann_distribution(cost, args.b)
     log_p0 = ensemble.log_p0(cost, args.b)
     p0b = float(math.exp(log_p0))
@@ -235,7 +241,7 @@ def cmd_sample(args) -> int:
         mode=mode,
         max_repetitions=args.max_repetitions,
         record_aborts=True,
-        _law=(log_p0, np.cumsum(exact)) if mode == "closed_form" else None,
+        _law=law or (log_p0, np.cumsum(exact)),
     )
     successes = [o for o in outcomes if o is not None]
     counts = Counter(o.result for o in successes)
@@ -319,6 +325,7 @@ def cmd_sweep(args) -> int:
             _fmt(point.delta),
             _fmt(point.accuracy),
             _fmt(point.p0b),
+            _fmt(point.log_p0b),
             _fmt(point.expected_repetitions),
             checks,
         ]

@@ -34,18 +34,31 @@ MARGIN_REL = 0.5e-3
 MARGIN_FLOOR = 1e-9
 MARGIN_ULPS = 4
 
-# Dense-array size policy: each cap is checked once, where its array is
-# allocated.  The cost table (float64, 2^n entries) checks TABLE_MAX_BITS
-# itself, and every dense enumeration (energies, cost limits, brute force,
-# bound verification, annealer reads) is read from it.  Amplitude vectors
-# (complex128, 2^(n+b) entries) check AMPLITUDE_MAX_QUBITS, which the
-# environment variable QANNEAL_MAX_QUBITS overrides at call time.
+# Size policy: each cap is checked once, where its array is allocated or its
+# states are streamed.  The cost table (float64, 2^n entries) checks
+# TABLE_MAX_BITS itself, and every dense enumeration (per-state energies,
+# brute force, bound verification, annealer and sampler reads) is read from
+# it.  The cost levels stream up to LEVELS_MAX_BITS bits without any 2^n
+# array when their exactness certificate holds, and otherwise come from the
+# table.  Amplitude vectors (complex128, 2^(n+b) entries) check
+# AMPLITUDE_MAX_QUBITS, which the environment variable QANNEAL_MAX_QUBITS
+# overrides at call time.
 TABLE_MAX_BITS = 24
+LEVELS_MAX_BITS = 30
 AMPLITUDE_MAX_QUBITS = 26
 
 
 class CapExceededError(RuntimeError):
     """Raised when a dense array would exceed its size cap."""
+
+
+def check_table_cap(bits: int):
+    """Refuse a cost table over more bits than ``TABLE_MAX_BITS``."""
+    if bits > TABLE_MAX_BITS:
+        raise CapExceededError(
+            f"the cost table needs {8 << bits} bytes (2^{bits} entries), "
+            f"over the cap of {TABLE_MAX_BITS} bits"
+        )
 
 
 def check_amplitude_cap(qubits: int, advice: str = ""):
@@ -176,34 +189,58 @@ class CostFunction:
         so each entry is summed in the same order as ``evaluate``.  Refused
         above ``TABLE_MAX_BITS``.
         """
-        if self.n > TABLE_MAX_BITS:
-            raise CapExceededError(
-                f"the cost table needs {8 << self.n} bytes (2^{self.n} entries), "
-                f"over the cap of {TABLE_MAX_BITS} bits"
-            )
+        check_table_cap(self.n)
         values = np.full(1 << self.n, self.constant)
-        tensor = values.reshape([2] * self.n)
         for term in self.terms:
-            shape = [1] * self.n
-            for q in term.qubits:
-                shape[self.n - 1 - q] = 2
-            tensor += np.asarray(term.values).reshape(shape)
+            _broadcast_add(values, self.n, term.qubits, term.values)
         values.flags.writeable = False
         return values
 
     @cached_property
     def energies(self) -> np.ndarray:
         """E = -2 log cos(pi/2 * C_nor) per state, read-only; built from ``table``."""
-        values = -2.0 * np.log(np.cos(0.5 * np.pi * normalized_all(self)))
+        values = _effective_energy(self.table, self)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, counts): the distinct costs ascending and how many states take each.
+
+        Read-only; counts are int64 and sum to 2^n.  When the exactness
+        certificate holds (see ``_level_grid``) and no term has more than two
+        bits, the histogram is streamed block by block without any 2^n array,
+        up to ``LEVELS_MAX_BITS``; it is then bit-identical to
+        ``np.unique(table, return_counts=True)``, which is the route otherwise.
+        """
+        grid = _level_grid(self.constant, self.terms) if self.max_arity <= 2 else None
+        if grid is None:
+            values, counts = np.unique(self.table, return_counts=True)
+        else:
+            if self.n > LEVELS_MAX_BITS:
+                raise CapExceededError(
+                    f"the cost levels would stream 2^{self.n} states, "
+                    f"over the cap of {LEVELS_MAX_BITS} bits"
+                )
+            values, counts = _stream_levels(self, *grid)
+        values.flags.writeable = False
+        counts.flags.writeable = False
+        return values, counts
+
+    @cached_property
+    def level_energies(self) -> np.ndarray:
+        """E = -2 log cos(pi/2 * C_nor) per level of ``levels``, read-only."""
+        values = _effective_energy(self.levels[0], self)
         values.flags.writeable = False
         return values
 
     @cached_property
     def cost_limits(self) -> tuple[float, float]:
-        """(C(t=0), C(t=inf)), built once from ``table`` and ``energies``."""
-        mean_energy = float(np.mean(self.energies))
+        """(C(t=0), C(t=inf)) from ``levels``: the lowest level, and the cost at the mean energy."""
+        values, counts = self.levels
+        mean_energy = float(counts @ self.level_energies) / (1 << self.n)
         c_inf = self.c_min + self.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * mean_energy))
-        return float(self.table.min()), c_inf
+        return float(values[0]), c_inf
 
     @property
     def max_arity(self) -> int:
@@ -212,6 +249,95 @@ class CostFunction:
     @property
     def span(self) -> float:
         return self.c_max - self.c_min
+
+
+def _effective_energy(costs: np.ndarray, cost: CostFunction) -> np.ndarray:
+    """-2 log cos(pi/2 * C_nor) of each entry of ``costs`` under the bounds of ``cost``."""
+    return -2.0 * np.log(np.cos(0.5 * np.pi * ((costs - cost.c_min) / cost.span)))
+
+
+def _broadcast_add(values: np.ndarray, bits: int, qubits: Sequence[int], table) -> None:
+    """Add a term table over ``qubits`` to every entry of the 2^bits vector ``values``, in place."""
+    shape = [1] * bits
+    for q in qubits:
+        shape[bits - 1 - q] = 2
+    view = values.reshape([2] * bits)
+    view += np.asarray(table, dtype=float).reshape(shape)
+
+
+def _level_grid(constant: float, terms: Sequence[LocalTerm]) -> tuple[int, int, int] | None:
+    """Exactness certificate of the streamed level histogram: (e, lo, bins), or None.
+
+    It holds when the constant and every term value are integer multiples of
+    2^-e and, in units of 2^-e, the constant's magnitude plus each term's
+    largest magnitude sums to at most 2^50.  Every quantity the stream adds
+    (table entries, the hi/lo differences, the offset ``lo`` and the GEMM
+    accumulation) is then an integer of magnitude below 5 * 2^50 < 2^53, so
+    every partial sum is exact in any order.  ``lo`` is the scaled loose
+    minimum, and the scaled loose range must fit in ``bins <= 2^TABLE_MAX_BITS``
+    histogram bins, so the histogram's size is known before any work.
+    """
+    ratios = [[v.as_integer_ratio() for v in term.values] for term in terms]
+    c_num, c_den = constant.as_integer_ratio()
+    e = max([c_den] + [den for term in ratios for _, den in term]).bit_length() - 1
+
+    def scaled(num: int, den: int) -> int:
+        return num << (e + 1 - den.bit_length())
+
+    lo = hi = scaled(c_num, c_den)
+    magnitude = abs(lo)
+    for term in ratios:
+        ints = [scaled(num, den) for num, den in term]
+        lo += min(ints)
+        hi += max(ints)
+        magnitude += max(-min(ints), max(ints))
+    if magnitude > 1 << 50 or hi - lo >= 1 << TABLE_MAX_BITS:
+        return None
+    return e, lo, hi - lo + 1
+
+
+def _stream_levels(cost: CostFunction, e: int, lo: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact level histogram of a certified cost with terms of at most two bits.
+
+    Split an assignment into its low ``n_lo`` bits and high ``n_hi`` bits.  In
+    units of 2^-e, C - lo = T_hi[hi] + T_lo[lo_bits] + D[hi] . bits(lo_bits):
+    terms inside one half fold into T_hi or T_lo, and a term (a, b) with a
+    low and b high puts its b-dependent base value in T_hi and its difference
+    for flipping a in column a of D.  The stacked rows [D; 1; T_hi - lo] and
+    [bits; T_lo; 1] make each block of high assignments one GEMM, whose
+    integer entries are binned.  Memory is (n_lo + 2) 2^n_hi floats (29 MiB at
+    n = 30) plus one block.
+    """
+    n = cost.n
+    n_lo = min(n - n // 2, 12)  # the low rows (at most 2^12 columns) stay in cache
+    n_hi = n - n_lo
+    rows_hi = np.zeros((n_lo + 2, 1 << n_hi))
+    rows_lo = np.zeros((n_lo + 2, 1 << n_lo))
+    rows_lo[:n_lo] = (np.arange(1 << n_lo) >> np.arange(n_lo)[:, None]) & 1
+    rows_lo[n_lo + 1] = 1.0
+    rows_hi[n_lo] = 1.0
+    # in units of 2^-e every value is an integer below 2^50, so ldexp is exact
+    rows_hi[n_lo + 1] = math.ldexp(cost.constant, e) - lo
+    for term in cost.terms:
+        values = [math.ldexp(v, e) for v in term.values]
+        if term.qubits[0] >= n_lo:
+            _broadcast_add(rows_hi[n_lo + 1], n_hi, [q - n_lo for q in term.qubits], values)
+        elif term.qubits[-1] < n_lo:
+            _broadcast_add(rows_lo[n_lo], n_lo, term.qubits, values)
+        else:  # values indexed by (q_a, q_b) = 00, 10, 01, 11 with a low, b high
+            a, b = term.qubits
+            v00, v10, v01, v11 = values
+            _broadcast_add(rows_hi[n_lo + 1], n_hi, (b - n_lo,), (v00, v01))
+            _broadcast_add(rows_hi[a], n_hi, (b - n_lo,), (v10 - v00, v11 - v01))
+    counts = np.zeros(bins, dtype=np.int64)
+    block = max(1, (1 << 16) >> n_lo)  # high assignments per GEMM: 2^16 entries stay in cache
+    for start in range(0, 1 << n_hi, block):
+        shifted = rows_hi[:, start : start + block].T @ rows_lo
+        found = np.bincount(shifted.astype(np.int64).ravel())
+        counts[: len(found)] += found
+    nonzero = np.flatnonzero(counts)
+    values = np.ldexp((nonzero + lo).astype(float), -e)
+    return values, counts[nonzero]
 
 
 def loose_range(constant: float, terms: Iterable[LocalTerm]) -> tuple[float, float]:

@@ -2,15 +2,22 @@
 
 The post-selected measurement distribution over search states is an exact
 Boltzmann distribution at effective temperature t = 1/b, with per-state
-energies E = -2 log cos(pi/2 * C_nor).  This module evaluates that ensemble by
-exhaustive enumeration: partition function, free energy, internal energy,
-entropy, the effective cost at temperature t, and the resulting optimization
-gain and accuracy.
+energies E = -2 log cos(pi/2 * C_nor).  This module evaluates that ensemble
+exactly: partition function, free energy, internal energy, entropy, the
+effective cost at temperature t, and the resulting optimization gain and
+accuracy.
 
-The energies are the one enumeration: each ``CostFunction`` builds them once,
-read-only, from its cost table (which refuses above ``cost.TABLE_MAX_BITS``),
-and every quantity here is a Boltzmann sum of e^(-bE) over them.  The
-finite-difference step and tolerance are module constants, read at call time.
+Every ensemble sum runs over the cost levels, not the states: each
+``CostFunction`` builds its level histogram ``levels`` (distinct costs and
+their degeneracies) and the energy of each level once, read-only, and Z, F,
+U, S, C(0), C(inf) and accuracy are degeneracy-weighted sums of e^(-bE) over
+them, O(levels) per b.  Graph instances have a few hundred levels however
+many states they have.  The histogram streams without any 2^n array when its
+exactness certificate holds (up to ``cost.LEVELS_MAX_BITS``), and otherwise
+comes from the cost table (refused above ``cost.TABLE_MAX_BITS``).  Only
+``boltzmann_distribution``, the per-state law that sampling needs, reads the
+per-state energies.  The finite-difference step and tolerance are module
+constants, read at call time.
 
 Conventions:
 
@@ -44,12 +51,12 @@ class EntropyCrossCheckError(RuntimeError):
     """Analytic and finite-difference entropies disagree beyond tolerance."""
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
+def _logsumexp(a: np.ndarray, weights: np.ndarray) -> float:
+    """log sum(weights * e^a), stable for any finite a."""
     a_max = np.max(a)
     if not np.isfinite(a_max):
         return float(a_max)
-    return float(a_max + np.log(np.sum(np.exp(a - a_max))))
+    return float(a_max + np.log(weights @ np.exp(a - a_max)))
 
 
 def energies(cost: CostFunction) -> np.ndarray:
@@ -72,7 +79,8 @@ def log_p0(cost: CostFunction, b: float) -> float:
     """log of the post-selection probability (1/N) sum e^(-bE); stable at any b >= 0."""
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    return _logsumexp(-b * energies(cost)) - cost.n * math.log(2.0)
+    _, counts = cost.levels
+    return _logsumexp(-b * cost.level_energies, counts) - cost.n * math.log(2.0)
 
 
 def partition_function(cost: CostFunction, b: float) -> tuple[float, float]:
@@ -114,7 +122,13 @@ def free_energy(cost: CostFunction, b: float) -> float:
 
 def internal_energy(cost: CostFunction, b: float) -> float:
     """Ensemble average of the effective energies at inverse temperature b."""
-    return float(energies(cost) @ boltzmann_distribution(cost, b))
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
+    _, counts = cost.levels
+    e = cost.level_energies
+    w = -b * e
+    weights = counts * np.exp(w - np.max(w))
+    return float(e @ weights / weights.sum())
 
 
 def consistency_p0b(cost: CostFunction, b: float) -> float:
@@ -144,12 +158,17 @@ class ThermoPoint:
     c_eff_nor: float
     delta: float
     accuracy: float | None
-    p0b: float
+    log_p0b: float
     degenerate: bool
 
     @property
     def b(self) -> float:
         return 1.0 / self.t
+
+    @property
+    def p0b(self) -> float:
+        """P0_b; 0.0 once it underflows, where ``log_p0b`` stays finite."""
+        return float(np.exp(self.log_p0b))
 
     @property
     def expected_repetitions(self) -> float:
@@ -159,8 +178,9 @@ class ThermoPoint:
 def effective_cost_limits(cost: CostFunction) -> tuple[float, float]:
     """(C(t=0), C(t=inf)): the exact minimum cost and the infinite-temperature effective cost.
 
-    The t -> infinity limit follows from F(b -> 0) = mean energy over the
-    uniform ensemble.  Both are computed once per instance.
+    C(0) is the lowest cost level.  The t -> infinity limit follows from
+    F(b -> 0) = mean energy over the uniform ensemble, sum(counts * E) / 2^n
+    over the levels.  Both are computed once per instance.
     """
     return cost.cost_limits
 
@@ -210,7 +230,7 @@ def thermo_point(cost: CostFunction, t: float) -> ThermoPoint:
         c_eff_nor=c_eff_nor,
         delta=delta,
         accuracy=accuracy,
-        p0b=float(np.exp(lp0)),
+        log_p0b=lp0,
         degenerate=degenerate,
     )
 

@@ -169,3 +169,45 @@ def literal_step_states(cost) -> list[np.ndarray]:
     # the flipped-control branch carries the i sin(theta) phase left by the Hadamard pair
     psi3 = np.concatenate([np.cos(theta), 1j * np.sin(theta)]) / math.sqrt(size)
     return [psi0, psi1, psi2, psi3]
+
+
+# --- dense-energy oracle for the level-compressed ensemble --------------------
+
+
+def dense_thermo(cost, b: float) -> dict:
+    """Thermodynamics at inverse temperature b summed over all 2^n per-state energies.
+
+    The ensemble's former route: logsumexp over ``cost.energies``, U from the
+    per-state Boltzmann law, C(0) as the table minimum and C(inf) from the
+    mean per-state energy.
+    """
+    import math
+
+    e = cost.energies
+    w = -b * e
+    top = float(np.max(w))
+    lp0 = top + math.log(float(np.sum(np.exp(w - top)))) - cost.n * math.log(2.0)
+    f = -lp0 / b
+    p = np.exp(w - top)
+    p /= p.sum()
+    u = float(e @ p)
+    s = (u - f) * b
+    c0 = float(cost.table.min())
+
+    def effective_cost(energy: float) -> float:
+        return cost.c_min + cost.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * energy))
+
+    c_inf = effective_cost(float(np.mean(e)))
+    c_eff = effective_cost(f)
+    return {
+        "f": f,
+        "u": u,
+        "s": s,
+        "s_gibbs": s + cost.n * math.log(2.0),
+        "c_eff": c_eff,
+        "delta": c_inf - c_eff,
+        "accuracy": min(1.0, max(0.0, (c_inf - c_eff) / (c_inf - c0))),
+        "log_p0b": lp0,
+        "c_0": c0,
+        "c_inf": c_inf,
+    }

@@ -319,3 +319,11 @@ def test_gate_level_sampler_matches_closed_form_statistics():
 def test_run_outcome_validates_repetitions():
     with pytest.raises(ValueError):
         RunOutcome(0, "01", 1.0)
+
+
+def test_sample_many_checks_both_caps_before_building_the_table(monkeypatch):
+    cost = random_local_cost(8, 2, 1.5, seed=1)
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "10")  # 8 + 3 qubits are over it
+    with pytest.raises(CapExceededError, match="cap of 10 qubits"):
+        sample_many(cost, 3, 4, 0, mode="gate_level")
+    assert "table" not in vars(cost)

@@ -166,6 +166,36 @@ def test_verify_refuses_above_the_amplitude_cap_before_the_product_check(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["verify", "--b", "3"], ["sample", "--b", "3", "--trials", "4", "--mode", "gate"]]
+)
+def test_gate_route_checks_both_caps_before_building_the_table(tmp_path, monkeypatch, command):
+    from qanneal import cli
+
+    code, graph = run(
+        ["generate", "graph", "--v", "8", "--p", "0.5", "--lam", "1.0", "--seed", "7",
+         "--no-timestamp"],
+        tmp_path,
+        "g8.json",
+    )
+    assert code == 0
+    loaded = []
+    original = cli.load_instance
+
+    def recording(path):
+        cost, info = original(path)
+        loaded.append(cost)
+        return cost, info
+
+    monkeypatch.setattr(cli, "load_instance", recording)
+    monkeypatch.setenv("QANNEAL_MAX_QUBITS", "10")  # 8 + 3 qubits are over it
+    code, out = run([command[0], str(graph), *command[1:]], tmp_path, "x.json")
+    assert code == 1
+    assert not out.exists()
+    (cost,) = loaded
+    assert "table" not in vars(cost)
+
+
 def test_verification_report_holds_at_most_three_vectors():
     # gate-level and closed-form states are live together; the comparison
     # between them must not add full-size temporaries
@@ -322,7 +352,7 @@ def test_sweep_csv_columns_and_checks(graph_file, tmp_path):
     assert meta["degenerate"] is False
     header = lines[1].split(",")
     assert header == ["b", "t", "F", "U", "S", "C_eff", "C_eff_nor", "Delta",
-                      "accuracy", "P0b", "expected_repetitions", "checks"]
+                      "accuracy", "P0b", "log_P0b", "expected_repetitions", "checks"]
     rows = [line.split(",") for line in lines[2:]]
     assert all(row[-1] == "ok" for row in rows)
     accuracy = [float(row[8]) for row in rows]

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -82,21 +83,31 @@ def test_energies_are_built_once_and_read_only():
     assert np.array_equal(energies(c), -2.0 * np.log(np.cos(0.5 * np.pi * normalized_all(c))))
 
 
-def test_sweep_builds_the_energies_once(monkeypatch):
-    c = graph_partition_cost(random_graph(10, 0.5, seed=7))
-    calls = []
+def test_sweep_builds_the_levels_once(monkeypatch):
+    # a certified graph: every thermo quantity comes from the streamed levels,
+    # and no pass of cos(pi/2 * C_nor) over the 2^n states is made
+    c = graph_partition_cost(replace(random_graph(10, 0.5, seed=7), lam=1.0))
+    builds = []
+    original = CostFunction.levels.func
 
-    def counting(cost):
-        calls.append(cost)
-        return normalized_all(cost)
+    def counted(cost):
+        builds.append(cost)
+        return original(cost)
 
-    # every pass of cos(pi/2 * C_nor) over the 2^n states goes through normalized_all
+    prop = cached_property(counted)
+    prop.__set_name__(CostFunction, "levels")
+    monkeypatch.setattr(CostFunction, "levels", prop)
+
+    def forbidden(cost):
+        raise AssertionError("normalized_all was called")
+
     for module in (cost_module, ensemble, circuit):
         if hasattr(module, "normalized_all"):
-            monkeypatch.setattr(module, "normalized_all", counting)
+            monkeypatch.setattr(module, "normalized_all", forbidden)
     points = sweep(c, [1, 2, 4, 8, 16, 32])
     assert len(points) == 6
-    assert len(calls) == 1
+    assert len(builds) == 1
+    assert "table" not in vars(c) and "energies" not in vars(c)
 
 
 # --- asymptotic branches -------------------------------------------------------
@@ -351,11 +362,21 @@ def test_sweep_and_thermo_point_refuse_non_finite_or_non_positive_values(two_sta
 def test_every_dense_enumeration_refuses_above_the_table_cap():
     assert cost_module.TABLE_MAX_BITS == 24
     c = constant_cost(25, 1.0)
-    for enumeration in (energies, effective_cost_limits, evaluate_all, normalized_all):
+    for enumeration in (energies, evaluate_all, normalized_all):
         with pytest.raises(CapExceededError, match="needs 268435456 bytes"):
             enumeration(c)
+    # an uncertified 3-local cost has no streamed levels: its ensemble reads the table
+    uncertified = random_local_cost(25, 3, seed=1)
+    assert uncertified.max_arity == 3
+    with pytest.raises(CapExceededError, match="needs 268435456 bytes"):
+        effective_cost_limits(uncertified)
     with pytest.raises(CapExceededError, match="cap of 24"):
-        log_p0(c, 1.0)
+        log_p0(uncertified, 1.0)
+    # a certified cost streams its levels, up to LEVELS_MAX_BITS
+    assert cost_module.LEVELS_MAX_BITS == 30
+    for enumeration in (effective_cost_limits, lambda cost: log_p0(cost, 1.0)):
+        with pytest.raises(CapExceededError, match="2\\^31 states, over the cap of 30 bits"):
+            enumeration(constant_cost(31, 1.0))
 
 
 def test_accuracy_roughly_size_independent_for_graph_family():
