@@ -137,7 +137,11 @@ def sampling_law(cost: CostFunction, b: int, mode: str) -> tuple[float, np.ndarr
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     if mode == "closed_form":
-        return ensemble.log_p0(cost, b), np.cumsum(ensemble.boltzmann_distribution(cost, b))
+        cumulative = np.cumsum(ensemble.boltzmann_distribution(cost, b))  # reads the table first
+        return ensemble.log_p0(cost, b), cumulative
+    # the sampler reads the cost table after the gate route: check its cap
+    # before the state vector checks the amplitude cap, so neither is built
+    check_table_cap(cost.n)
     search, probability = postselect_zero(run_circuit(cost, b))
     return math.log(probability), np.cumsum(np.abs(search.amplitudes) ** 2)
 
@@ -163,8 +167,6 @@ def sample_many(
     yields None with ``record_aborts``.  ``_law`` is ``sampling_law(cost, b,
     mode)`` when the caller already holds it, so it is not computed twice.
     """
-    # both caps before either array: the table cap here, the amplitude cap in the gate route
-    check_table_cap(cost.n)
     log_p0, cumulative = sampling_law(cost, b, mode) if _law is None else _law
     table = evaluate_all(cost)
     p0 = math.exp(log_p0)

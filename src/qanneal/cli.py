@@ -225,9 +225,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     cost, info = load_instance(args.instance)
     mode = {"gate": "gate_level", "closed": "closed_form"}[args.mode]
-    # both caps before either array: the table cap here, and in gate mode the
-    # amplitude cap, which the gate route checks before its state vector
-    check_table_cap(cost.n)
+    # the gate-level law first: it checks both caps before building either array
     law = circuit.sampling_law(cost, args.b, mode) if mode == "gate_level" else None
     # the exact law reads the cost table; in closed-form mode it is also the law sampled from
     exact = ensemble.boltzmann_distribution(cost, args.b)

@@ -40,9 +40,9 @@ MARGIN_ULPS = 4
 # brute force, bound verification, annealer and sampler reads) is read from
 # it.  The cost levels stream up to LEVELS_MAX_BITS bits without any 2^n
 # array when their exactness certificate holds, and otherwise come from the
-# table.  Amplitude vectors (complex128, 2^(n+b) entries) check
-# AMPLITUDE_MAX_QUBITS, which the environment variable QANNEAL_MAX_QUBITS
-# overrides at call time.
+# table, as does the ensemble's spectrum.  Amplitude vectors (complex128,
+# 2^(n+b) entries) check AMPLITUDE_MAX_QUBITS, which the environment variable
+# QANNEAL_MAX_QUBITS overrides at call time.
 TABLE_MAX_BITS = 24
 LEVELS_MAX_BITS = 30
 AMPLITUDE_MAX_QUBITS = 26
@@ -213,8 +213,7 @@ class CostFunction:
         up to ``LEVELS_MAX_BITS``; it is then bit-identical to
         ``np.unique(table, return_counts=True)``, which is the route otherwise.
         """
-        grid = _level_grid(self.constant, self.terms) if self.max_arity <= 2 else None
-        if grid is None:
+        if self.level_grid is None:
             values, counts = np.unique(self.table, return_counts=True)
         else:
             if self.n > LEVELS_MAX_BITS:
@@ -222,25 +221,45 @@ class CostFunction:
                     f"the cost levels would stream 2^{self.n} states, "
                     f"over the cap of {LEVELS_MAX_BITS} bits"
                 )
-            values, counts = _stream_levels(self, *grid)
+            values, counts = _stream_levels(self, *self.level_grid)
         values.flags.writeable = False
         counts.flags.writeable = False
         return values, counts
 
     @cached_property
-    def level_energies(self) -> np.ndarray:
-        """E = -2 log cos(pi/2 * C_nor) per level of ``levels``, read-only."""
-        values = _effective_energy(self.levels[0], self)
-        values.flags.writeable = False
-        return values
+    def level_grid(self) -> tuple[int, int, int] | None:
+        """The streamed histogram's certificate (see ``_level_grid``); None past two-bit terms."""
+        return _level_grid(self.constant, self.terms) if self.max_arity <= 2 else None
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(costs, energies, weights) that every ensemble sum runs over, read-only.
+
+        When the certificate holds: the streamed ``levels``, their energies and
+        their counts as floats.  Otherwise the cost ``table``, the per-state
+        ``energies`` and None for unit weights: an uncertified cost can have
+        nearly one level per state, and sorting its table costs more than
+        summing over the states.
+        """
+        if self.level_grid is None:
+            return self.table, self.energies, None
+        values, counts = self.levels
+        energies = _effective_energy(values, self)
+        weights = counts.astype(float)  # exact: every count is at most 2^LEVELS_MAX_BITS
+        energies.flags.writeable = False
+        weights.flags.writeable = False
+        return values, energies, weights
 
     @cached_property
     def cost_limits(self) -> tuple[float, float]:
-        """(C(t=0), C(t=inf)) from ``levels``: the lowest level, and the cost at the mean energy."""
-        values, counts = self.levels
-        mean_energy = float(counts @ self.level_energies) / (1 << self.n)
+        """(C(t=0), C(t=inf)) from ``spectrum``: the lowest cost, and the cost at the mean energy."""
+        costs, energies, weights = self.spectrum
+        if weights is None:
+            mean_energy = float(np.mean(energies))
+        else:
+            mean_energy = float(weights @ energies) / (1 << self.n)
         c_inf = self.c_min + self.span * (2.0 / np.pi) * math.acos(math.exp(-0.5 * mean_energy))
-        return float(values[0]), c_inf
+        return float(costs.min()), c_inf
 
     @property
     def max_arity(self) -> int:
@@ -306,7 +325,8 @@ def _stream_levels(cost: CostFunction, e: int, lo: int, bins: int) -> tuple[np.n
     for flipping a in column a of D.  The stacked rows [D; 1; T_hi - lo] and
     [bits; T_lo; 1] make each block of high assignments one GEMM, whose
     integer entries are binned.  Memory is (n_lo + 2) 2^n_hi floats (29 MiB at
-    n = 30) plus one block.
+    n = 30), 8 bytes per histogram bin (at most 2^TABLE_MAX_BITS bins, 128
+    MiB; 21 KiB for a v=30 graph at lam = 1), and one block of 2^16 states.
     """
     n = cost.n
     n_lo = min(n - n // 2, 12)  # the low rows (at most 2^12 columns) stay in cache
@@ -332,9 +352,16 @@ def _stream_levels(cost: CostFunction, e: int, lo: int, bins: int) -> tuple[np.n
     counts = np.zeros(bins, dtype=np.int64)
     block = max(1, (1 << 16) >> n_lo)  # high assignments per GEMM: 2^16 entries stay in cache
     for start in range(0, 1 << n_hi, block):
-        shifted = rows_hi[:, start : start + block].T @ rows_lo
-        found = np.bincount(shifted.astype(np.int64).ravel())
-        counts[: len(found)] += found
+        found = (rows_hi[:, start : start + block].T @ rows_lo).astype(np.int64).ravel()
+        first = int(found.min())
+        width = int(found.max()) - first + 1
+        # per-block work follows the block, not the bins: a bincount over the
+        # block's own range while that range is a few block lengths, else a sort
+        if width <= 4 * found.size:
+            counts[first : first + width] += np.bincount(found - first)
+        else:
+            distinct, repeats = np.unique(found, return_counts=True)
+            counts[distinct] += repeats
     nonzero = np.flatnonzero(counts)
     values = np.ldexp((nonzero + lo).astype(float), -e)
     return values, counts[nonzero]

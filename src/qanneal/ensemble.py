@@ -7,17 +7,17 @@ exactly: partition function, free energy, internal energy, entropy, the
 effective cost at temperature t, and the resulting optimization gain and
 accuracy.
 
-Every ensemble sum runs over the cost levels, not the states: each
-``CostFunction`` builds its level histogram ``levels`` (distinct costs and
-their degeneracies) and the energy of each level once, read-only, and Z, F,
-U, S, C(0), C(inf) and accuracy are degeneracy-weighted sums of e^(-bE) over
-them, O(levels) per b.  Graph instances have a few hundred levels however
-many states they have.  The histogram streams without any 2^n array when its
-exactness certificate holds (up to ``cost.LEVELS_MAX_BITS``), and otherwise
-comes from the cost table (refused above ``cost.TABLE_MAX_BITS``).  Only
-``boltzmann_distribution``, the per-state law that sampling needs, reads the
-per-state energies.  The finite-difference step and tolerance are module
-constants, read at call time.
+Every ensemble sum runs over ``CostFunction.spectrum``, built once per
+instance, read-only: Z, F, U, S, C(0), C(inf) and accuracy are weighted sums
+of e^(-bE) over it.  When the exactness certificate of the level histogram
+holds, the spectrum is the cost levels (distinct costs and their
+degeneracies), streamed without any 2^n array up to ``cost.LEVELS_MAX_BITS``,
+so each sum is O(levels) per b; graph instances have a few hundred levels
+however many states they have.  Otherwise it is the per-state energies with
+unit weights, read from the cost table (refused above
+``cost.TABLE_MAX_BITS``).  ``boltzmann_distribution``, the per-state law that
+sampling needs, always reads the per-state energies.  The finite-difference
+step and tolerance are module constants, read at call time.
 
 Conventions:
 
@@ -51,12 +51,13 @@ class EntropyCrossCheckError(RuntimeError):
     """Analytic and finite-difference entropies disagree beyond tolerance."""
 
 
-def _logsumexp(a: np.ndarray, weights: np.ndarray) -> float:
-    """log sum(weights * e^a), stable for any finite a."""
+def _logsumexp(a: np.ndarray, weights: np.ndarray | None) -> float:
+    """log sum(weights * e^a) (unit weights for None), stable for any finite a."""
     a_max = np.max(a)
     if not np.isfinite(a_max):
         return float(a_max)
-    return float(a_max + np.log(weights @ np.exp(a - a_max)))
+    terms = np.exp(a - a_max)
+    return float(a_max + np.log(terms.sum() if weights is None else weights @ terms))
 
 
 def energies(cost: CostFunction) -> np.ndarray:
@@ -79,8 +80,8 @@ def log_p0(cost: CostFunction, b: float) -> float:
     """log of the post-selection probability (1/N) sum e^(-bE); stable at any b >= 0."""
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    _, counts = cost.levels
-    return _logsumexp(-b * cost.level_energies, counts) - cost.n * math.log(2.0)
+    _, e, weights = cost.spectrum
+    return _logsumexp(-b * e, weights) - cost.n * math.log(2.0)
 
 
 def partition_function(cost: CostFunction, b: float) -> tuple[float, float]:
@@ -124,11 +125,14 @@ def internal_energy(cost: CostFunction, b: float) -> float:
     """Ensemble average of the effective energies at inverse temperature b."""
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    _, counts = cost.levels
-    e = cost.level_energies
+    _, e, weights = cost.spectrum
     w = -b * e
-    weights = counts * np.exp(w - np.max(w))
-    return float(e @ weights / weights.sum())
+    w -= np.max(w)
+    p = np.exp(w, out=w)
+    if weights is not None:
+        p *= weights
+    p /= p.sum()
+    return float(e @ p)
 
 
 def consistency_p0b(cost: CostFunction, b: float) -> float:
@@ -178,9 +182,9 @@ class ThermoPoint:
 def effective_cost_limits(cost: CostFunction) -> tuple[float, float]:
     """(C(t=0), C(t=inf)): the exact minimum cost and the infinite-temperature effective cost.
 
-    C(0) is the lowest cost level.  The t -> infinity limit follows from
-    F(b -> 0) = mean energy over the uniform ensemble, sum(counts * E) / 2^n
-    over the levels.  Both are computed once per instance.
+    C(0) is the lowest cost of the spectrum.  The t -> infinity limit follows
+    from F(b -> 0) = mean energy over the uniform ensemble, sum(weights * E)
+    / 2^n over the spectrum.  Both are computed once per instance.
     """
     return cost.cost_limits
 

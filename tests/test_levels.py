@@ -44,7 +44,7 @@ def dyadic_costs(draw, max_n: int = 12) -> CostFunction:
 
 
 def is_streamed(cost: CostFunction) -> bool:
-    return cost.max_arity <= 2 and cost_module._level_grid(cost.constant, cost.terms) is not None
+    return cost.level_grid is not None
 
 
 # --- the histogram ---------------------------------------------------------------
@@ -76,11 +76,57 @@ def test_graph_levels_are_streamed_and_equal_the_dense_histogram(v, lam):
     assert np.array_equal(counts, dense_counts)
 
 
+def wide_dyadic_cost(n: int) -> CostFunction:
+    """A certified cost spread over millions of bins: one-bit weights up to 2^15 in steps of 1/8."""
+    rng = np.random.default_rng(5)
+    terms = [LocalTerm((q,), (0.0, float(rng.integers(0, 1 << 18)) / 8)) for q in range(n)]
+    terms += [LocalTerm((q, q + 1), tuple(float(x) / 8 for x in rng.integers(-64, 64, 4)))
+              for q in range(n - 1)]
+    c_min, c_max = derive_bounds(0.0, terms)
+    return CostFunction(n=n, constant=0.0, terms=tuple(terms), c_min=c_min, c_max=c_max)
+
+
+def test_stream_work_per_block_follows_the_block_not_the_bins(monkeypatch):
+    # v = 18 and n = 18 stream four blocks of 2^16 states each, over 2.9e5 and
+    # 1.9e6 bins; the fine-weight graph's blocks each span about 2e5 of them
+    fine = graph_partition_cost(replace(random_graph(18, 0.5, seed=7), lam=2.0**-12))
+    wide = wide_dyadic_cost(18)
+    block = 1 << 16
+    binned, sorted_sizes = [], []
+    bincount, unique = np.bincount, np.unique
+
+    def counting(x, *args, **kwargs):
+        found = bincount(x, *args, **kwargs)
+        binned.append(len(found))
+        return found
+
+    def sorting(x, *args, **kwargs):
+        sorted_sizes.append(x.size)
+        return unique(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    monkeypatch.setattr(np, "unique", sorting)
+    for cost in (fine, wide):
+        assert cost.level_grid[2] > 4 * block
+        cost.levels
+    monkeypatch.undo()
+    # a bincount spans its block's own range, a few block lengths at most;
+    # a block spread wider than that is sorted, and never more than one block at a time
+    assert binned and max(binned) <= 4 * block
+    assert sorted_sizes and max(sorted_sizes) <= block
+    for cost in (fine, wide):
+        values, counts = cost.levels
+        dense_values, dense_counts = np.unique(cost.table, return_counts=True)
+        assert values.tobytes() == dense_values.tobytes()
+        assert np.array_equal(counts, dense_counts)
+
+
 def test_levels_are_built_once_and_read_only():
     cost = graph_partition_cost(replace(random_graph(10, 0.5, seed=3), lam=1.0))
     assert cost.levels is cost.levels
     values, counts = cost.levels
-    for array in (values, counts, cost.level_energies):
+    assert cost.spectrum[0] is values
+    for array in (values, counts, *cost.spectrum):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -108,6 +154,26 @@ def test_uncertified_costs_take_the_dense_histogram():
 
 
 # --- the ensemble over levels ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [random_local_cost(10, 3, 1.5, seed=4), random_local_cost(10, 2, 1.5, seed=4),
+     graph_partition_cost(replace(random_graph(10, 0.5, seed=7), lam=0.3))],
+    ids=["local3", "local2", "graph-lam0.3"],
+)
+def test_uncertified_ensemble_sums_over_the_states_without_sorting(cost):
+    # an uncertified cost can have nearly one level per state, so its ensemble
+    # reads the per-state energies with unit weights and never sorts the table
+    assert not is_streamed(cost)
+    points = ensemble.sweep(cost, [1.0, 4.0, 16.0])
+    assert "levels" not in vars(cost)
+    costs, energies, weights = cost.spectrum
+    assert costs is cost.table and energies is cost.energies and weights is None
+    for point in points:
+        ref = dense_thermo(cost, point.b)
+        assert point.f == pytest.approx(ref["f"], rel=1e-14)
+        assert point.u == pytest.approx(ref["u"], rel=1e-14)
 
 
 def thermo_cases():
